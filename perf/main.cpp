@@ -69,7 +69,7 @@ using perf::SpanScope;
 
 constexpr double kMB = 1e6;
 /// Set-up is repeated this many times per run; setup_s is the median.
-constexpr int kSetupRepeats = 9;
+constexpr int kSetupRepeats = 25;
 /// serve-mixed: closed-loop clients, cache hits issued after each miss,
 /// and how many of a client's latest keys per dataset the hits draw from
 /// (all clients' keys together stay far below the server's LRU capacity,
@@ -205,21 +205,22 @@ struct Failures {
 
 struct Run {
   explicit Run(const Options& o)
-      : opt(o),
-        spec(workload_by_name(o.workload)),
-        seeds{derive_seed(o.seed, 0), derive_seed(o.seed, 1)} {}
+      : opt(o), spec(workload_by_name(o.workload)) {}
 
   const Options& opt;
   const WorkloadSpec& spec;
-  /// Two palette seeds per run; solve rounds alternate them so every key
-  /// is solved more than once.
-  std::array<std::uint64_t, 2> seeds;
+  /// Palette seed of solve round r. Every round draws a fresh seed, so a
+  /// run's medians average over many palettes rather than two; keys repeat
+  /// through the warm-up and, in traced runs, the second half.
+  std::uint64_t round_seed(std::size_t round) const {
+    return derive_seed(opt.seed, round);
+  }
   std::vector<const pauli::PauliSet*> sets;
 
   std::vector<double> setup_s;
   std::vector<Call> warmup, untraced, timed;
   std::vector<Call> probes;  // serve-mixed: local re-solves of server keys
-  double timed_wall_s = 0.0;  // throughput denominator
+  double timed_wall_s = 0.0;  // serve-mixed: the timed loop's wall time
   double peak_tracked = 0.0;  // bytes
   /// Solves whose Full telemetry feeds the per-layer metrics.
   std::vector<const Call*> layer_solves;
@@ -342,7 +343,7 @@ void solve_setup(Run& run) {
     run.load_sets();
     for (std::size_t d = 0; d < run.sets.size(); ++d) {
       const api::Session s =
-          run.session(d, run.seeds[0], obs::TelemetryLevel::Off);
+          run.session(d, run.round_seed(0), obs::TelemetryLevel::Off);
       (void)s.plan(api::Problem::pauli(*run.sets[d]));
     }
     run.setup_s.push_back(t.seconds());
@@ -350,22 +351,22 @@ void solve_setup(Run& run) {
 }
 
 /// Whole rounds (one solve per dataset) until `seconds` have passed;
-/// round r uses palette seed seeds[r % 2].
+/// round r uses palette seed round_seed(r).
 void solve_loop(Run& run, double seconds, SpanLog* log,
                 std::vector<Call>& out) {
   const util::WallTimer clock;
   for (std::size_t round = 0; round == 0 || clock.seconds() < seconds;
        ++round) {
     for (std::size_t d = 0; d < run.sets.size(); ++d) {
-      out.push_back(run.solve(d, run.seeds[round % 2], log));
+      out.push_back(run.solve(d, run.round_seed(round), log));
     }
   }
 }
 
 void solve_execute(Run& run) {
   // Warm-up: starts the process thread pool and warms the allocator; it
-  // is verified like every call and repeats key (0, seeds[0]).
-  run.warmup.push_back(run.solve(0, run.seeds[0], nullptr));
+  // is verified like every call and repeats key (0, round_seed(0)).
+  run.warmup.push_back(run.solve(0, run.round_seed(0), nullptr));
   if (run.opt.trace) {
     solve_loop(run, run.opt.seconds / 2, nullptr, run.untraced);
     run.logs.emplace_back(1);
@@ -375,7 +376,6 @@ void solve_execute(Run& run) {
   }
   for (const Call& c : run.timed) {
     if (!c.ok) continue;
-    run.timed_wall_s += c.ms / 1e3;
     run.peak_tracked =
         std::max(run.peak_tracked, static_cast<double>(c.peak_tracked));
     run.layer_solves.push_back(&c);
@@ -636,50 +636,67 @@ std::vector<double> call_ms(const std::vector<Call>& calls) {
   return ms;
 }
 
-/// Median call time of each dataset that has one (misses only on
+/// Median time of each dataset's calls (hits and misses together on
 /// serve-mixed), keyed by dataset index.
-std::map<std::size_t, double> per_dataset_medians(const Run& run) {
+std::map<std::size_t, double> per_dataset_medians(
+    const std::vector<Call>& calls) {
   std::map<std::size_t, std::vector<double>> ms;
-  for (const Call& c : run.timed) {
-    if (c.ok && !c.cache_hit) ms[c.dataset].push_back(c.ms);
+  for (const Call& c : calls) {
+    if (c.ok) ms[c.dataset].push_back(c.ms);
   }
   std::map<std::size_t, double> out;
   for (const auto& [d, values] : ms) out[d] = perf::median(values);
   return out;
 }
 
+/// A workload's typical call time: the geometric mean of the per-dataset
+/// medians. Datasets differ in size, so a pooled median would sit on the
+/// edge between two datasets' times (on serve-mixed, between two clusters
+/// of cache-hit times) and jump with noise.
+double typical_ms(const std::vector<Call>& calls) {
+  const std::map<std::size_t, double> medians = per_dataset_medians(calls);
+  double log_sum = 0.0;
+  for (const auto& [d, m] : medians) log_sum += std::log(m);
+  return medians.empty()
+             ? 0.0
+             : std::exp(log_sum / static_cast<double>(medians.size()));
+}
+
 void end_to_end_metrics(Run& run) {
   const std::vector<double> ms = call_ms(run.timed);
-  double strings = 0.0;
-  for (const Call& c : run.timed) {
-    if (c.ok) strings += static_cast<double>(run.sets[c.dataset]->size());
-  }
-  // A solve round holds one solve per dataset, and datasets differ in
-  // size, so a pooled median would sit on the edge between two datasets'
-  // times and jump with noise. The solve workloads' median is therefore
-  // the geometric mean of the per-dataset medians; serve-mixed's calls are
-  // the mix its clients see, so its median is pooled.
-  const std::map<std::size_t, double> medians = per_dataset_medians(run);
-  double log_sum = 0.0;
+  const std::map<std::size_t, double> medians = per_dataset_medians(run.timed);
   JsonObject by_dataset;
-  for (const auto& [d, m] : medians) {
-    log_sum += std::log(m);
-    by_dataset.num(run.spec.datasets[d], m);
+  for (const auto& [d, m] : medians) by_dataset.num(run.spec.datasets[d], m);
+  // serve-mixed's throughput is closed-loop: calls over the loop's wall
+  // time. A solve workload's calls run one after another, so its
+  // throughput is that of a round at each dataset's median time, which a
+  // single slow solve cannot swing the way it swings a mean.
+  double calls_per_s = 0.0, strings_per_s = 0.0;
+  if (run.spec.served) {
+    double strings = 0.0;
+    for (const Call& c : run.timed) {
+      if (c.ok) strings += static_cast<double>(run.sets[c.dataset]->size());
+    }
+    calls_per_s = static_cast<double>(ms.size()) / run.timed_wall_s;
+    strings_per_s = strings / run.timed_wall_s;
+  } else {
+    double round_s = 0.0, round_strings = 0.0;
+    for (const auto& [d, m] : medians) {
+      round_s += m / 1e3;
+      round_strings += static_cast<double>(run.sets[d]->size());
+    }
+    calls_per_s = static_cast<double>(medians.size()) / round_s;
+    strings_per_s = round_strings / round_s;
   }
-  const double p50 =
-      run.spec.served || medians.empty()
-          ? perf::median(ms)
-          : std::exp(log_sum / static_cast<double>(medians.size()));
-  run.metric("call_ms_p50", p50, "ms");
+  run.metric("call_ms_p50", typical_ms(run.timed), "ms");
   run.metric("call_ms_p90", perf::quantile(ms, 0.9), "ms");
-  run.metric("calls_per_s", static_cast<double>(ms.size()) / run.timed_wall_s,
-             "1/s");
-  run.metric("strings_per_s", strings / run.timed_wall_s, "1/s");
+  run.metric("calls_per_s", calls_per_s, "1/s");
+  run.metric("strings_per_s", strings_per_s, "1/s");
   run.metric("colors_pct", mean_per_dataset(run), "%");
   run.metric("peak_tracked_mb", run.peak_tracked / kMB, "MB");
   run.metric("peak_rss_mb", peak_rss_mb(), "MB");
   run.metric("setup_s", perf::median(run.setup_s), "s");
-  run.report.raw("solve_ms_p50_by_dataset", by_dataset.dump());
+  run.report.raw("call_ms_p50_by_dataset", by_dataset.dump());
 }
 
 double span_seconds(const api::SolveReport& r, const char* name) {
@@ -806,7 +823,7 @@ void microbench_metrics(Run& run) {
     bytes_per_pair += (d ? "," : "") + perf::json_number(edge.bytes_per_pair);
 
     const api::Session s =
-        run.session(d, run.seeds[0], obs::TelemetryLevel::Off);
+        run.session(d, run.round_seed(0), obs::TelemetryLevel::Off);
     const api::SolvePlan plan = s.plan(api::Problem::pauli(set));
     const std::size_t chunk =
         plan.chunk_strings > 0 ? plan.chunk_strings : (set.size() + 7) / 8;
@@ -831,7 +848,7 @@ void microbench_metrics(Run& run) {
 /// count (one worker per core): the ratio of wall times.
 void speedup_metric(Run& run) {
   const std::size_t d = run.timed.empty() ? 0 : run.timed.front().dataset;
-  const std::uint64_t seed = run.timed.empty() ? run.seeds[0]
+  const std::uint64_t seed = run.timed.empty() ? run.round_seed(0)
                                                : run.timed.front().seed;
   const api::Problem problem = api::Problem::pauli(*run.sets[d]);
   double seconds[2] = {0.0, 0.0};
@@ -876,8 +893,8 @@ void per_layer_metrics(Run& run) {
   microbench_metrics(run);
   speedup_metric(run);
   service_metrics(run);
-  const double untraced = perf::median(call_ms(run.untraced));
-  const double traced = perf::median(call_ms(run.timed));
+  const double untraced = typical_ms(run.untraced);
+  const double traced = typical_ms(run.timed);
   run.metric("obs.trace_overhead_frac", (traced - untraced) / untraced,
              "ratio");
   run.report.num("untraced_call_ms_p50", untraced);
@@ -892,7 +909,7 @@ std::string plan_facts(Run& run) {
   for (std::size_t d = 0; d < run.sets.size(); ++d) {
     const pauli::PauliSet& set = *run.sets[d];
     const api::Session s =
-        run.session(d, run.seeds[0], obs::TelemetryLevel::Off);
+        run.session(d, run.round_seed(0), obs::TelemetryLevel::Off);
     const api::SolvePlan plan = s.plan(api::Problem::pauli(set));
     out += (d ? "," : "") +
            JsonObject()
@@ -955,8 +972,7 @@ int run_workload(const Options& opt) {
                        .str("build_type", PICASSO_PERF_BUILD_TYPE)
                        .dump())
       .raw("plans", plan_facts(run))
-      .raw("palette_seeds", "[" + std::to_string(run.seeds[0]) + "," +
-                                std::to_string(run.seeds[1]) + "]")
+      .integer("keys", run.hashes.size())
       .integer("warmup_calls", run.warmup.size())
       .integer("timed_calls", call_ms(run.timed).size())
       .raw("setup_s_samples", [&run] {
