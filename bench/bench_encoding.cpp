@@ -6,16 +6,20 @@
 // kernel, the 2-bit symplectic alternative, the end-to-end cost
 // (encode + test sweep) that the paper's claim includes, and the packed
 // conflict-oracle backends — the parity-fold scalar kernel and the
-// runtime-dispatched SIMD block kernel (pauli/pauli_packed.hpp).
+// runtime-dispatched SIMD block kernel (pauli/pauli_packed.hpp). It also
+// measures decoding the binary format: PauliSet::load_binary and the
+// service's decode_solve_request, in MB/s.
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "pauli/encoding.hpp"
 #include "pauli/pauli_packed.hpp"
 #include "pauli/pauli_set.hpp"
+#include "service/wire.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -173,6 +177,43 @@ void BM_EncodeOnly(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kStrings);
 }
 BENCHMARK(BM_EncodeOnly)->Arg(16)->Arg(40);
+
+// Decoding the binary format (dataset disk cache, spill chunks, the service
+// wire): 3-bit words validated and decoded word by word into both encodings.
+constexpr std::size_t kLoadStrings = 6000;
+
+void BM_LoadBinary(benchmark::State& state) {
+  const auto qubits = static_cast<std::size_t>(state.range(0));
+  const pauli::PauliSet set(random_strings(kLoadStrings, qubits, 1));
+  std::vector<std::uint8_t> bytes(set.binary_size());
+  set.save_binary(std::span<std::uint8_t>(bytes));
+  for (auto _ : state) {
+    const pauli::PauliSet loaded = pauli::PauliSet::load_binary(bytes);
+    benchmark::DoNotOptimize(loaded.packed_view().data);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    bytes.size()));
+}
+BENCHMARK(BM_LoadBinary)->Arg(12)->Arg(24);
+
+// The service's per-request decode: every cache hit pays it.
+void BM_DecodeSolveRequest(benchmark::State& state) {
+  const auto qubits = static_cast<std::size_t>(state.range(0));
+  service::SolveRequestMsg request;
+  request.id = 1;
+  request.tenant = "tenant-0";
+  request.records = pauli::PauliSet(random_strings(kLoadStrings, qubits, 1));
+  const std::vector<std::uint8_t> payload =
+      service::encode_solve_request(request);
+  for (auto _ : state) {
+    const service::SolveRequestMsg back =
+        service::decode_solve_request(payload);
+    benchmark::DoNotOptimize(back.records.packed_view().data);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    payload.size()));
+}
+BENCHMARK(BM_DecodeSolveRequest)->Arg(12)->Arg(24);
 
 }  // namespace
 

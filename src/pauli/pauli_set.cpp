@@ -1,6 +1,8 @@
 #include "pauli/pauli_set.hpp"
 
+#include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -54,25 +56,121 @@ std::uint64_t PauliSet::count_anticommuting_pairs() const {
 
 namespace {
 constexpr std::uint64_t kMagic = 0x5041554c49534554ULL;  // "PAULISET"
+constexpr std::size_t kHeaderWords = 3;  // magic, qubit count, string count
+constexpr std::size_t kHeaderBytes = kHeaderWords * sizeof(std::uint64_t);
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+// One bit per 3-bit code slot of a word: bits 0, 3, ..., 60.
+constexpr std::uint64_t kCodeLowBits = 0x1249249249249249ULL;
+// The 63 bits that hold the 21 codes of a full word.
+constexpr std::uint64_t kFullWordBits = ~std::uint64_t{0} >> 1;
+
+/// Gathers bits 0, 3, ..., 60 of `v` into bits 0..20 (the 3D Morton
+/// compaction): one code bit of each of a word's 21 operators, in order.
+constexpr std::uint64_t compact_every_third_bit(std::uint64_t v) noexcept {
+  v &= kCodeLowBits;
+  v = (v ^ (v >> 2)) & 0x10c30c30c30c30c3ULL;
+  v = (v ^ (v >> 4)) & 0x100f00f00f00f00fULL;
+  v = (v ^ (v >> 8)) & 0x001f0000ff0000ffULL;
+  v = (v ^ (v >> 16)) & 0x001f00000000ffffULL;
+  v = (v ^ (v >> 32)) & 0x00000000001fffffULL;
+  return v;
 }
 
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("PauliSet::load_binary: truncated input");
-  return value;
+/// String count and qubit count of a binary header, checked against the
+/// `available` bytes after it before anything is allocated: the header is
+/// untrusted input (a cache file or a network payload).
+struct BinaryHeader {
+  std::size_t num_qubits = 0;
+  std::size_t size = 0;
+};
+
+BinaryHeader check_header(const std::uint64_t (&raw)[kHeaderWords],
+                          std::size_t available) {
+  if (raw[0] != kMagic) {
+    throw std::runtime_error("PauliSet::load_binary: bad magic");
+  }
+  // Bound the qubit count so words_per_string2/3 cannot overflow.
+  if (raw[1] > std::numeric_limits<std::size_t>::max() - kOpsPerWord2) {
+    throw std::runtime_error("PauliSet::load_binary: qubit count overflows");
+  }
+  BinaryHeader header;
+  header.num_qubits = static_cast<std::size_t>(raw[1]);
+  const std::size_t per_string =
+      words_per_string3(header.num_qubits) * sizeof(std::uint64_t) +
+      sizeof(double);
+  if (raw[2] > available / per_string) {
+    throw std::runtime_error(
+        "PauliSet::load_binary: header claims more strings than the input "
+        "holds");
+  }
+  header.size = static_cast<std::size_t>(raw[2]);
+  return header;
 }
 }  // namespace
 
+PauliSet PauliSet::from_words3(std::size_t num_qubits,
+                               std::vector<std::uint64_t> words3,
+                               std::vector<double> coefficients) {
+  PauliSet set;
+  const std::size_t size = coefficients.size();
+  const std::size_t w3 = words_per_string3(num_qubits);
+  if (words3.size() != size * w3) {
+    throw std::invalid_argument("PauliSet::from_words3: word count mismatch");
+  }
+  if (size == 0) return set;
+  set.size_ = size;
+  set.num_qubits_ = num_qubits;
+  set.words3_ = w3;
+  set.words2_ = words_per_string2(num_qubits);
+  set.words2_data_.assign(size * 2 * set.words2_, 0);
+  // Bits of the last word that hold operators; everything above is cleared.
+  const std::size_t tail_ops =
+      w3 == 0 ? 0 : num_qubits - (w3 - 1) * kOpsPerWord3;
+  const std::uint64_t tail_bits =
+      tail_ops == kOpsPerWord3 ? kFullWordBits
+                               : (std::uint64_t{1} << (3 * tail_ops)) - 1;
+  for (std::size_t i = 0; i < size; ++i) {
+    std::uint64_t* words = words3.data() + i * w3;
+    std::uint64_t* x = set.words2_data_.data() + 2 * i * set.words2_;
+    std::uint64_t* z = x + set.words2_;
+    for (std::size_t k = 0; k < w3; ++k) {
+      const std::uint64_t word =
+          words[k] & (k + 1 < w3 ? kFullWordBits : tail_bits);
+      words[k] = word;
+      // The valid codes 000/110/101/011 are exactly those of even popcount.
+      if (((word ^ (word >> 1) ^ (word >> 2)) & kCodeLowBits) != 0) {
+        throw std::invalid_argument("PauliSet::from_words3: corrupt encoding");
+      }
+      const std::uint64_t xs = compact_every_third_bit(word >> 2);
+      const std::uint64_t zs = compact_every_third_bit(word);
+      // Operator k * 21 lands at this bit of the 64-operator planes; a word's
+      // 21 operators may straddle two plane words.
+      const std::size_t first = k * kOpsPerWord3;
+      const std::size_t pw = first / kOpsPerWord2;
+      const std::size_t shift = first % kOpsPerWord2;
+      x[pw] |= xs << shift;
+      z[pw] |= zs << shift;
+      if (shift > kOpsPerWord2 - kOpsPerWord3 && pw + 1 < set.words2_) {
+        x[pw + 1] |= xs >> (kOpsPerWord2 - shift);
+        z[pw + 1] |= zs >> (kOpsPerWord2 - shift);
+      }
+    }
+  }
+  set.words3_data_ = std::move(words3);
+  set.coefficients_ = std::move(coefficients);
+  return set;
+}
+
+std::size_t PauliSet::binary_size() const noexcept {
+  return kHeaderBytes + words3_data_.size() * sizeof(std::uint64_t) +
+         coefficients_.size() * sizeof(double);
+}
+
 void PauliSet::save_binary(std::ostream& out) const {
-  write_pod(out, kMagic);
-  write_pod(out, static_cast<std::uint64_t>(num_qubits_));
-  write_pod(out, static_cast<std::uint64_t>(size_));
+  const std::uint64_t header[kHeaderWords] = {
+      kMagic, static_cast<std::uint64_t>(num_qubits_),
+      static_cast<std::uint64_t>(size_)};
+  out.write(reinterpret_cast<const char*>(header), kHeaderBytes);
   out.write(reinterpret_cast<const char*>(words3_data_.data()),
             static_cast<std::streamsize>(words3_data_.size() *
                                          sizeof(std::uint64_t)));
@@ -80,27 +178,67 @@ void PauliSet::save_binary(std::ostream& out) const {
             static_cast<std::streamsize>(coefficients_.size() * sizeof(double)));
 }
 
-PauliSet PauliSet::load_binary(std::istream& in) {
-  if (read_pod<std::uint64_t>(in) != kMagic) {
-    throw std::runtime_error("PauliSet::load_binary: bad magic");
+void PauliSet::save_binary(std::span<std::uint8_t> out) const {
+  if (out.size() < binary_size()) {
+    throw std::invalid_argument("PauliSet::save_binary: buffer too small");
   }
-  const auto num_qubits = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  const auto size = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  const std::size_t words3 = words_per_string3(num_qubits);
-  std::vector<std::uint64_t> packed(size * words3);
-  in.read(reinterpret_cast<char*>(packed.data()),
-          static_cast<std::streamsize>(packed.size() * sizeof(std::uint64_t)));
-  std::vector<double> coefs(size);
+  const std::uint64_t header[kHeaderWords] = {
+      kMagic, static_cast<std::uint64_t>(num_qubits_),
+      static_cast<std::uint64_t>(size_)};
+  std::uint8_t* p = out.data();
+  std::memcpy(p, header, kHeaderBytes);
+  p += kHeaderBytes;
+  const std::size_t word_bytes = words3_data_.size() * sizeof(std::uint64_t);
+  if (word_bytes > 0) std::memcpy(p, words3_data_.data(), word_bytes);
+  p += word_bytes;
+  if (size_ > 0) {
+    std::memcpy(p, coefficients_.data(), size_ * sizeof(double));
+  }
+}
+
+PauliSet PauliSet::load_binary(std::istream& in) {
+  std::uint64_t raw[kHeaderWords];
+  if (!in.read(reinterpret_cast<char*>(raw), kHeaderBytes)) {
+    throw std::runtime_error("PauliSet::load_binary: truncated input");
+  }
+  // What the stream still holds bounds what the header may claim.
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here || !in) {
+    throw std::runtime_error("PauliSet::load_binary: input is not seekable");
+  }
+  const BinaryHeader header =
+      check_header(raw, static_cast<std::size_t>(end - here));
+  std::vector<std::uint64_t> words(header.size *
+                                   words_per_string3(header.num_qubits));
+  in.read(reinterpret_cast<char*>(words.data()),
+          static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
+  std::vector<double> coefs(header.size);
   in.read(reinterpret_cast<char*>(coefs.data()),
           static_cast<std::streamsize>(coefs.size() * sizeof(double)));
   if (!in) throw std::runtime_error("PauliSet::load_binary: truncated input");
-  // Reconstruct through the string constructor so both encodings are built.
-  std::vector<PauliString> strings;
-  strings.reserve(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    strings.push_back(decode3(packed.data() + i * words3, num_qubits));
+  return from_words3(header.num_qubits, std::move(words), std::move(coefs));
+}
+
+PauliSet PauliSet::load_binary(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderBytes) {
+    throw std::runtime_error("PauliSet::load_binary: truncated input");
   }
-  return PauliSet(strings, std::move(coefs));
+  std::uint64_t raw[kHeaderWords];
+  std::memcpy(raw, bytes.data(), kHeaderBytes);
+  const BinaryHeader header = check_header(raw, bytes.size() - kHeaderBytes);
+  const std::uint8_t* p = bytes.data() + kHeaderBytes;
+  std::vector<std::uint64_t> words(header.size *
+                                   words_per_string3(header.num_qubits));
+  const std::size_t word_bytes = words.size() * sizeof(std::uint64_t);
+  if (word_bytes > 0) std::memcpy(words.data(), p, word_bytes);
+  std::vector<double> coefs(header.size);
+  if (header.size > 0) {
+    std::memcpy(coefs.data(), p + word_bytes, header.size * sizeof(double));
+  }
+  return from_words3(header.num_qubits, std::move(words), std::move(coefs));
 }
 
 PauliSet PauliSet::prefix(std::size_t count) const {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,10 +112,40 @@ class PauliSet {
   /// (std::invalid_argument). Appending invalidates packed_view()s.
   void append(const PauliSet& other);
 
-  /// Binary serialization (dataset disk cache). Format: magic, qubit count,
-  /// string count, packed 3-bit words, coefficients.
+  /// Builds a set straight from its 3-bit words, words_per_string3(
+  /// num_qubits) per string, and one coefficient per string. The words are
+  /// validated and decoded word by word, with no PauliString in between:
+  /// any invalid code (001/010/100/111) throws std::invalid_argument, as
+  /// decode3 does; bits past the last operator of a word are cleared; and
+  /// the symplectic planes come straight from each code (x = bit 2,
+  /// z = bit 0). An empty coefficient list gives the empty set.
+  static PauliSet from_words3(std::size_t num_qubits,
+                              std::vector<std::uint64_t> words3,
+                              std::vector<double> coefficients);
+
+  /// Binary serialization (dataset disk cache, spill files, the service
+  /// wire). Format: magic, qubit count, string count (three host-order u64),
+  /// packed 3-bit words, coefficients.
   void save_binary(std::ostream& out) const;
+
+  /// Bytes save_binary writes.
+  std::size_t binary_size() const noexcept;
+
+  /// save_binary into `out`, which must hold binary_size() bytes
+  /// (std::invalid_argument otherwise).
+  void save_binary(std::span<std::uint8_t> out) const;
+
+  /// Loads the binary format through from_words3, so the words are
+  /// validated and decoded word by word. The header is untrusted: a qubit
+  /// count whose word arithmetic overflows, or a string count whose words
+  /// and coefficients exceed the bytes the input actually holds, throws
+  /// std::runtime_error before anything is allocated. The stream overload
+  /// measures what is left in the stream, so it needs a seekable stream.
   static PauliSet load_binary(std::istream& in);
+
+  /// Same, parsing `bytes` in place (the service wire's payload blob).
+  /// Bytes after the coefficients are ignored.
+  static PauliSet load_binary(std::span<const std::uint8_t> bytes);
 
  private:
   std::size_t size_ = 0;

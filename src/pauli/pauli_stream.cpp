@@ -348,14 +348,10 @@ PauliSet ChunkedPauliReader::load_chunk(std::size_t chunk) const {
   read_span(in, Section::Coefs, begin, count,
             reinterpret_cast<char*>(coefs.data()));
 
-  std::vector<PauliString> strings;
-  strings.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    strings.push_back(decode3(packed.data() + i * words3_, num_qubits_));
-  }
   note_load(chunk, packed.size() * sizeof(std::uint64_t) +
                        coefs.size() * sizeof(double));
-  return PauliSet(strings, std::move(coefs));
+  return PauliSet::from_words3(num_qubits_, std::move(packed),
+                               std::move(coefs));
 }
 
 PackedPauliSet ChunkedPauliReader::load_chunk_packed(std::size_t chunk) const {

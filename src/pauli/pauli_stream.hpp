@@ -123,11 +123,15 @@ class ChunkedPauliReader {
                                         std::size_t num_qubits) noexcept;
 
   /// Seeks to and decodes chunk `chunk` as a standalone PauliSet (local
-  /// indices [0, chunk_size)). Throws on I/O failure.
+  /// indices [0, chunk_size)): the 3-bit words are read straight into the
+  /// set and validated and decoded word by word (PauliSet::from_words3).
+  /// Throws std::runtime_error on I/O failure and std::invalid_argument on
+  /// a corrupt code.
   PauliSet load_chunk(std::size_t chunk) const;
 
   /// Reloads chunk `chunk` in packed form: a straight seek+read of the
-  /// packed tail when present, else a decode of the 3-bit section.
+  /// packed tail when present, else load_chunk's decode of the 3-bit
+  /// section.
   PackedPauliSet load_chunk_packed(std::size_t chunk) const;
 
   /// Total chunk loads performed through this reader (telemetry: every

@@ -15,7 +15,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "util/failpoint.hpp"
@@ -45,39 +44,20 @@ void WireWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void WireWriter::bytes(const void* data, std::size_t len) {
+std::span<std::uint8_t> WireWriter::blob(std::size_t len) {
   if (len > kMaxFrameBytes) throw WireError("blob too long for frame");
   u32(static_cast<std::uint32_t>(len));
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + len);
+  return {extend(len), len};
 }
 
-void WireReader::need(std::size_t n) const {
+const std::uint8_t* WireReader::take(std::size_t n) {
   if (size_ - pos_ < n) throw WireError("truncated frame payload");
+  const std::uint8_t* at = data_ + pos_;
+  pos_ += n;
+  return at;
 }
 
-std::uint8_t WireReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint32_t WireReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
-  }
-  return v;
-}
-
-std::uint64_t WireReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
-  }
-  return v;
-}
+std::uint8_t WireReader::u8() { return *take(1); }
 
 double WireReader::f64() {
   const std::uint64_t bits = u64();
@@ -88,18 +68,12 @@ double WireReader::f64() {
 
 std::string WireReader::str() {
   const std::uint32_t len = u32();
-  need(len);
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-  pos_ += len;
-  return s;
+  return std::string(reinterpret_cast<const char*>(take(len)), len);
 }
 
-std::vector<std::uint8_t> WireReader::bytes() {
+std::span<const std::uint8_t> WireReader::blob() {
   const std::uint32_t len = u32();
-  need(len);
-  std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + len);
-  pos_ += len;
-  return out;
+  return {take(len), len};
 }
 
 // --------------------------------------------------------------------------
@@ -107,6 +81,11 @@ std::vector<std::uint8_t> WireReader::bytes() {
 
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg) {
   WireWriter w;
+  // Fixed fields, the tenant string and the length-prefixed records blob.
+  constexpr std::size_t kFixedBytes =
+      4 + 8 + 4 + 8 + 8 + 8 + 4 + 1 + 1 + 8 + 1 + 8;
+  const std::size_t blob_size = msg.records.binary_size();
+  w.reserve(kFixedBytes + 4 + msg.tenant.size() + 4 + blob_size);
   w.u32(kProtocolVersion);
   w.u64(msg.id);
   w.str(msg.tenant);
@@ -120,10 +99,7 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg) {
   w.u64(msg.params.memory_budget_bytes);
   w.u8(msg.params.want_progress ? 1 : 0);
   w.u64(msg.params.deadline_ms);
-  std::ostringstream blob;
-  msg.records.save_binary(blob);
-  const std::string& encoded = blob.str();
-  w.bytes(encoded.data(), encoded.size());
+  msg.records.save_binary(w.blob(blob_size));
   return w.take();
 }
 
@@ -151,11 +127,9 @@ SolveRequestMsg decode_solve_request(
   msg.params.want_progress = r.u8() != 0;
   // deadline_ms joined in v2; v1 requests simply have no deadline.
   msg.params.deadline_ms = version >= 2 ? r.u64() : 0;
-  const std::vector<std::uint8_t> blob = r.bytes();
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
+  const std::span<const std::uint8_t> blob = r.blob();
   try {
-    msg.records = pauli::PauliSet::load_binary(in);
+    msg.records = pauli::PauliSet::load_binary(blob);
   } catch (const std::exception& error) {
     throw WireError(std::string("bad Pauli payload: ") + error.what());
   }
@@ -200,6 +174,10 @@ ProgressMsg decode_progress(const std::vector<std::uint8_t>& payload) {
 
 std::vector<std::uint8_t> encode_result(const ResultMsg& msg) {
   WireWriter w;
+  // Fixed fields, the reason string and the length-prefixed colors.
+  constexpr std::size_t kFixedBytes = 8 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 1;
+  w.reserve(kFixedBytes + 4 + msg.degraded_reason.size() + 4 +
+            4 * msg.colors.size());
   w.u64(msg.id);
   w.u8(msg.cache_hit ? 1 : 0);
   w.u64(msg.problem_hash);
@@ -211,7 +189,11 @@ std::vector<std::uint8_t> encode_result(const ResultMsg& msg) {
   w.u8(msg.degraded ? 1 : 0);
   w.str(msg.degraded_reason);
   w.u32(static_cast<std::uint32_t>(msg.colors.size()));
-  for (std::uint32_t c : msg.colors) w.u32(c);
+  std::uint8_t* out = w.extend(4 * msg.colors.size());
+  for (std::uint32_t c : msg.colors) {
+    store_le(out, c);
+    out += 4;
+  }
   return w.take();
 }
 
@@ -232,8 +214,12 @@ ResultMsg decode_result(const std::vector<std::uint8_t>& payload) {
   if (static_cast<std::size_t>(n) * 4 > r.remaining()) {
     throw WireError("result color count exceeds payload");
   }
-  msg.colors.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) msg.colors.push_back(r.u32());
+  msg.colors.resize(n);
+  const std::uint8_t* in = r.take(static_cast<std::size_t>(n) * 4);
+  for (std::uint32_t& c : msg.colors) {
+    c = load_le<std::uint32_t>(in);
+    in += 4;
+  }
   return msg;
 }
 

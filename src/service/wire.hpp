@@ -7,6 +7,11 @@
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // pattern in a u64. Strings and blobs are u32-length-prefixed byte runs.
+// A SolveRequest's Pauli records travel as one blob in the
+// PauliSet::save_binary format. The decoder parses that blob in place from
+// the payload: it checks the header's counts against the blob length before
+// allocating, then validates and decodes the 3-bit words word by word
+// (PauliSet::from_words3), never through one PauliString per record.
 // The protocol is deliberately version-gated: every SolveRequest leads with
 // kProtocolVersion and the server rejects mismatches with BadRequest
 // instead of guessing.
@@ -19,6 +24,7 @@
 // back, so responses are attributable even when they interleave.
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -102,19 +108,33 @@ struct Frame {
 // --------------------------------------------------------------------------
 // Payload encoding.
 
+/// Little-endian stores and loads of one unsigned integer. Written byte by
+/// byte so they hold on any host; compilers fold them into one move.
+template <typename T>
+inline void store_le(std::uint8_t* out, T v) noexcept {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+template <typename T>
+inline T load_le(const std::uint8_t* in) noexcept {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<T>(in[i]) << (8 * i));
+  }
+  return v;
+}
+
 class WireWriter {
  public:
+  /// Reserves room for `n` more bytes (encoders that know their size
+  /// allocate once).
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-    }
-  }
+  void u32(std::uint32_t v) { append_le(v); }
+  void u64(std::uint64_t v) { append_le(v); }
   void f64(double v) {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
@@ -122,11 +142,29 @@ class WireWriter {
     u64(bits);
   }
   void str(const std::string& s);
-  void bytes(const void* data, std::size_t len);
+
+  /// Writes a u32 length prefix for a `len`-byte blob and returns the blob's
+  /// bytes for the caller to fill in place.
+  std::span<std::uint8_t> blob(std::size_t len);
+
+  /// Appends `n` bytes for the caller to fill; the pointer is valid until
+  /// the next write.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void append_le(T v) {
+    std::uint8_t bytes[sizeof(T)];
+    store_le(bytes, v);
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -136,17 +174,22 @@ class WireReader {
       : data_(payload.data()), size_(payload.size()) {}
 
   std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint32_t u32() { return load_le<std::uint32_t>(take(4)); }
+  std::uint64_t u64() { return load_le<std::uint64_t>(take(8)); }
   double f64();
   std::string str();
-  std::vector<std::uint8_t> bytes();
+
+  /// A u32-length-prefixed byte run, borrowed from the payload in place:
+  /// valid while the payload lives.
+  std::span<const std::uint8_t> blob();
+
+  /// Consumes the next `n` bytes and returns them in place; throws
+  /// WireError when fewer remain.
+  const std::uint8_t* take(std::size_t n);
 
   std::size_t remaining() const noexcept { return size_ - pos_; }
 
  private:
-  void need(std::size_t n) const;
-
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;

@@ -128,3 +128,21 @@ TEST_F(DatasetCacheTest, EmptyCacheFileRegenerates) {
   { std::ofstream truncate(file, std::ios::binary | std::ios::trunc); }
   EXPECT_EQ(fingerprint(pp::load_dataset(spec)), expected);
 }
+
+TEST_F(DatasetCacheTest, OverclaimingHeaderRegenerates) {
+  const pp::DatasetSpec spec = tiny_spec();
+  const std::uint64_t expected = fingerprint(pp::load_dataset(spec));
+  const fs::path file = cached_file();
+  ASSERT_FALSE(file.empty());
+
+  // A cache file that is just a header claiming 2^40 strings: the loader
+  // must refuse it before allocating, and regenerate.
+  pp::clear_dataset_cache();
+  {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    const std::uint64_t header[3] = {0x5041554c49534554ULL,  // "PAULISET"
+                                     12, std::uint64_t{1} << 40};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  }
+  EXPECT_EQ(fingerprint(pp::load_dataset(spec)), expected);
+}

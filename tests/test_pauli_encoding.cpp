@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <sstream>
 #include <tuple>
 #include <vector>
 
+#include "api/session.hpp"
 #include "pauli/encoding.hpp"
 #include "pauli/pauli_set.hpp"
 #include "util/rng.hpp"
@@ -151,24 +155,167 @@ TEST(PauliSet, SubsetPreservesStringsAndCoefficients) {
   EXPECT_DOUBLE_EQ(sub.coefficient(1), 4.0);
 }
 
+namespace {
+
+std::uint64_t fingerprint(const pp::PauliSet& set) {
+  return picasso::api::problem_fingerprint(set, picasso::core::PicassoParams{});
+}
+
+/// Every stored word of `got` — 3-bit words, symplectic planes and
+/// coefficients — equals `expect`'s.
+void expect_same_storage(const pp::PauliSet& got, const pp::PauliSet& expect,
+                         std::size_t n) {
+  ASSERT_EQ(got.size(), expect.size()) << "n=" << n;
+  ASSERT_EQ(got.num_qubits(), expect.num_qubits()) << "n=" << n;
+  ASSERT_EQ(got.words_per_string(), expect.words_per_string()) << "n=" << n;
+  const pp::PackedView gv = got.packed_view();
+  const pp::PackedView ev = expect.packed_view();
+  ASSERT_EQ(gv.words, ev.words) << "n=" << n;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    for (std::size_t k = 0; k < got.words_per_string(); ++k) {
+      EXPECT_EQ(got.encoded3(i)[k], expect.encoded3(i)[k])
+          << "n=" << n << " i=" << i << " k=" << k;
+    }
+    for (std::size_t k = 0; k < gv.record_words(); ++k) {
+      EXPECT_EQ(gv.record(i)[k], ev.record(i)[k])
+          << "n=" << n << " i=" << i << " plane word " << k;
+    }
+    EXPECT_EQ(got.coefficient(i), expect.coefficient(i));
+  }
+  EXPECT_EQ(fingerprint(got), fingerprint(expect)) << "n=" << n;
+}
+
+std::vector<std::uint8_t> to_bytes(const pp::PauliSet& set) {
+  std::vector<std::uint8_t> bytes(set.binary_size());
+  set.save_binary(std::span<std::uint8_t>(bytes));
+  return bytes;
+}
+
+/// The 3-bit words of `set`, as from_words3 takes them.
+std::vector<std::uint64_t> words_of(const pp::PauliSet& set) {
+  if (set.empty()) return {};
+  return {set.encoded3(0),
+          set.encoded3(0) + set.size() * set.words_per_string()};
+}
+
+}  // namespace
+
 TEST(PauliSet, BinarySaveLoadRoundTrip) {
   picasso::util::Xoshiro256 rng(77);
-  std::vector<pp::PauliString> strings;
-  std::vector<double> coefs;
-  for (int i = 0; i < 33; ++i) {
-    strings.push_back(random_string(25, rng));  // crosses a 3-bit word boundary
-    coefs.push_back(rng.uniform() - 0.5);
+  // Word boundaries of both encodings: 21 codes per 3-bit word, 64
+  // operators per symplectic plane word.
+  for (std::size_t n : {1u, 20u, 21u, 22u, 63u, 64u, 65u, 130u}) {
+    std::vector<pp::PauliString> strings;
+    std::vector<double> coefs;
+    for (int i = 0; i < 33; ++i) {
+      strings.push_back(random_string(n, rng));
+      coefs.push_back(rng.uniform() - 0.5);
+    }
+    const pp::PauliSet reference(strings, coefs);
+
+    std::stringstream buffer;
+    reference.save_binary(buffer);
+    const std::string stream_bytes = buffer.str();
+    const std::vector<std::uint8_t> span_bytes = to_bytes(reference);
+    ASSERT_EQ(span_bytes.size(), reference.binary_size());
+    ASSERT_EQ(std::string(span_bytes.begin(), span_bytes.end()), stream_bytes)
+        << "the two save_binary overloads disagree, n=" << n;
+
+    expect_same_storage(pp::PauliSet::load_binary(buffer), reference, n);
+    expect_same_storage(pp::PauliSet::load_binary(span_bytes), reference, n);
+    const pp::PauliSet decoded = pp::PauliSet::load_binary(span_bytes);
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      EXPECT_EQ(decoded.string(i), strings[i]) << "n=" << n << " i=" << i;
+    }
   }
-  const pp::PauliSet original(strings, coefs);
+}
+
+TEST(PauliSet, FromWords3RejectsEveryInvalidCode) {
+  picasso::util::Xoshiro256 rng(3);
+  for (std::size_t n : {1u, 21u, 22u, 65u}) {
+    const pp::PauliSet clean({random_string(n, rng), random_string(n, rng)});
+    for (std::size_t q : {std::size_t{0}, n / 2, n - 1}) {
+      for (std::uint64_t code : {0b001u, 0b010u, 0b100u, 0b111u}) {
+        std::vector<std::uint64_t> words = words_of(clean);
+        // Corrupt qubit q of the second string.
+        std::uint64_t& word =
+            words[clean.words_per_string() + q / pp::kOpsPerWord3];
+        const std::size_t shift = (q % pp::kOpsPerWord3) * 3;
+        word = (word & ~(std::uint64_t{0b111} << shift)) | (code << shift);
+        EXPECT_THROW(pp::PauliSet::from_words3(n, words, {1.0, 1.0}),
+                     std::invalid_argument)
+            << "n=" << n << " q=" << q << " code=" << code;
+        EXPECT_THROW(pp::decode3(words.data() + clean.words_per_string(), n),
+                     std::invalid_argument)
+            << "the reference decoder disagrees, n=" << n << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(PauliSet, FromWords3ClearsBitsPastTheLastOperator) {
+  picasso::util::Xoshiro256 rng(11);
+  for (std::size_t n : {1u, 20u, 21u, 22u, 64u, 65u}) {
+    std::vector<pp::PauliString> strings;
+    for (int i = 0; i < 5; ++i) strings.push_back(random_string(n, rng));
+    const pp::PauliSet clean(strings);
+    std::vector<std::uint64_t> words = words_of(clean);
+    const std::size_t w3 = clean.words_per_string();
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      for (std::size_t k = 0; k < w3; ++k) {
+        // Bit 63 never holds a code; the last word's slots past qubit n-1
+        // get an invalid code (111) that must be ignored, not rejected.
+        std::uint64_t garbage = std::uint64_t{1} << 63;
+        if (k + 1 == w3) {
+          const std::size_t used = n - k * pp::kOpsPerWord3;
+          for (std::size_t slot = used; slot < pp::kOpsPerWord3; ++slot) {
+            garbage |= std::uint64_t{0b111} << (3 * slot);
+          }
+        }
+        words[i * w3 + k] |= garbage;
+      }
+    }
+    const pp::PauliSet loaded = pp::PauliSet::from_words3(
+        n, std::move(words), std::vector<double>(clean.size(), 1.0));
+    expect_same_storage(loaded, clean, n);
+  }
+}
+
+TEST(PauliSet, EmptySetRoundTrips) {
+  const pp::PauliSet empty;
   std::stringstream buffer;
-  original.save_binary(buffer);
-  const pp::PauliSet loaded = pp::PauliSet::load_binary(buffer);
-  ASSERT_EQ(loaded.size(), original.size());
-  ASSERT_EQ(loaded.num_qubits(), original.num_qubits());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded.string(i), original.string(i));
-    EXPECT_DOUBLE_EQ(loaded.coefficient(i), original.coefficient(i));
+  empty.save_binary(buffer);
+  const pp::PauliSet from_stream = pp::PauliSet::load_binary(buffer);
+  const pp::PauliSet from_span = pp::PauliSet::load_binary(to_bytes(empty));
+  const pp::PauliSet from_words = pp::PauliSet::from_words3(7, {}, {});
+  for (const pp::PauliSet* set : {&from_stream, &from_span, &from_words}) {
+    EXPECT_TRUE(set->empty());
+    EXPECT_EQ(set->num_qubits(), 0u);
+    EXPECT_EQ(fingerprint(*set),
+              fingerprint(pp::PauliSet(std::vector<pp::PauliString>{})));
   }
+  EXPECT_THROW(pp::PauliSet::from_words3(7, {0}, {}), std::invalid_argument);
+}
+
+TEST(PauliSet, LoadRejectsHeadersThatOverclaimTheInput) {
+  const auto header = [](std::uint64_t qubits, std::uint64_t count) {
+    std::vector<std::uint8_t> bytes(to_bytes(pp::PauliSet{}));
+    std::memcpy(bytes.data() + 8, &qubits, 8);
+    std::memcpy(bytes.data() + 16, &count, 8);
+    return bytes;
+  };
+  const std::uint64_t kHuge = std::uint64_t{1} << 40;
+  const std::uint64_t kMaxQubits = ~std::uint64_t{0};
+  for (const auto& bytes : {header(12, kHuge), header(kMaxQubits, 1),
+                            header(kMaxQubits, 0), header(kHuge, 1)}) {
+    EXPECT_THROW(pp::PauliSet::load_binary(bytes), std::runtime_error);
+    std::stringstream buffer(std::string(bytes.begin(), bytes.end()));
+    EXPECT_THROW(pp::PauliSet::load_binary(buffer), std::runtime_error);
+  }
+  // One string of 12 qubits needs 16 bytes after the header; 15 is short.
+  std::vector<std::uint8_t> short_by_one = header(12, 1);
+  short_by_one.resize(short_by_one.size() + 15);
+  EXPECT_THROW(pp::PauliSet::load_binary(short_by_one), std::runtime_error);
 }
 
 TEST(PauliSet, LoadRejectsGarbage) {

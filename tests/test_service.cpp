@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -21,6 +22,7 @@
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace papi = picasso::api;
@@ -146,6 +148,90 @@ TEST(ServiceWire, ResultAndErrorRoundTrip) {
   EXPECT_EQ(e.id, error.id);
   EXPECT_EQ(e.code, error.code);
   EXPECT_EQ(e.message, error.message);
+}
+
+// The wire bytes are part of the protocol: these FNV-1a hashes of one fixed
+// SolveRequest payload and one fixed Result payload were taken from the
+// codec before it moved to in-place encoding, and must never change without
+// a kProtocolVersion bump.
+TEST(ServiceWire, FrameBytesArePinned) {
+  psvc::SolveRequestMsg msg;
+  msg.id = 42;
+  msg.tenant = "vqe-h4";
+  msg.priority = 7;
+  msg.params.palette_percent = 9.5;
+  msg.params.alpha = 1.75;
+  msg.params.seed = 1234;
+  msg.params.max_iterations = 17;
+  msg.params.backend = 2;
+  msg.params.strategy = 6;
+  msg.params.memory_budget_bytes = 1u << 20;
+  msg.params.want_progress = true;
+  msg.params.deadline_ms = 2500;
+  {
+    const pp::PauliSet set = random_set(37, 25, 5);
+    std::vector<pp::PauliString> strings;
+    std::vector<double> coefs;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      strings.push_back(set.string(i));
+      coefs.push_back(0.25 * static_cast<double>(i) - 3.0);
+    }
+    msg.records = pp::PauliSet(strings, coefs);
+  }
+  const std::vector<std::uint8_t> request = psvc::encode_solve_request(msg);
+  EXPECT_EQ(request.size(), 989u);
+  EXPECT_EQ(picasso::util::fnv1a_bytes(picasso::util::kFnvOffsetBasis,
+                                       request.data(), request.size()),
+            0x8b2779218d984ea4ull);
+
+  psvc::ResultMsg result;
+  result.id = 9;
+  result.cache_hit = true;
+  result.problem_hash = 0xdeadbeefcafef00dull;
+  result.coloring_hash = 0x0123456789abcdefull;
+  result.num_colors = 201;
+  result.palette_total = 256;
+  result.iterations = 6;
+  result.seconds = 0.125;
+  result.degraded = true;
+  result.degraded_reason = "admission degraded plan to strategy=fused";
+  result.colors = {0, 1, 2, 200, 7, 70000, 0xffffffffu};
+  const std::vector<std::uint8_t> reply = psvc::encode_result(result);
+  EXPECT_EQ(reply.size(), 123u);
+  EXPECT_EQ(picasso::util::fnv1a_bytes(picasso::util::kFnvOffsetBasis,
+                                       reply.data(), reply.size()),
+            0x559341cc4a581698ull);
+  EXPECT_EQ(psvc::decode_result(reply).colors, result.colors);
+}
+
+namespace {
+
+/// A SolveRequest payload whose Pauli blob is a bare 24-byte header (magic,
+/// qubit count, string count) claiming `count` strings of 12 qubits.
+std::vector<std::uint8_t> overclaiming_request(std::uint64_t count) {
+  psvc::SolveRequestMsg msg;
+  msg.id = 5;
+  std::vector<std::uint8_t> payload = psvc::encode_solve_request(msg);
+  const std::uint64_t qubits = 12;
+  std::memcpy(payload.data() + payload.size() - 16, &qubits, 8);
+  std::memcpy(payload.data() + payload.size() - 8, &count, 8);
+  return payload;
+}
+
+}  // namespace
+
+TEST(ServiceWire, OverclaimingPauliHeaderIsAWireError) {
+  try {
+    psvc::decode_solve_request(overclaiming_request(std::uint64_t{1} << 40));
+    FAIL() << "a 24-byte blob claiming 2^40 strings decoded";
+  } catch (const psvc::WireError& error) {
+    EXPECT_NE(std::string(error.what()).find("bad Pauli payload"),
+              std::string::npos)
+        << error.what();
+  }
+  // The same header with a count the blob does hold decodes.
+  EXPECT_TRUE(psvc::decode_solve_request(overclaiming_request(0))
+                  .records.empty());
 }
 
 TEST(ServiceWire, TruncatedPayloadThrows) {
@@ -433,6 +519,20 @@ TEST_F(ServiceTest, MalformedRequestGetsBadRequestNotDisconnect) {
                    psvc::encode_solve_request(msg));
   ASSERT_TRUE(conn.read_frame(frame));
   EXPECT_EQ(frame.type, psvc::FrameType::Result);
+}
+
+TEST_F(ServiceTest, OverclaimingPauliHeaderGetsBadRequest) {
+  start_server();
+  auto conn = psvc::Connection::connect(server_.address());
+  conn.write_frame(psvc::FrameType::SolveRequest,
+                   overclaiming_request(std::uint64_t{1} << 40));
+  psvc::Frame frame;
+  ASSERT_TRUE(conn.read_frame(frame));
+  ASSERT_EQ(frame.type, psvc::FrameType::Error);
+  const psvc::ErrorMsg error = psvc::decode_error(frame.payload);
+  EXPECT_EQ(error.code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(error.message.find("bad Pauli payload"), std::string::npos)
+      << error.message;
 }
 
 TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {
