@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hpp"
 #include "core/picasso.hpp"
 #include "graph/oracles.hpp"
 #include "obs/metrics.hpp"
@@ -149,6 +150,16 @@ inline void emit_json_record(const std::string& bench, const std::string& name,
   if (!extra_fields.empty()) row += "," + extra_fields;
   row += ",\"report\":" + report.to_json() + "}";
   emit_json_line(row);
+}
+
+/// The materializing in-memory engine the paper's figures and tables
+/// measure (conflict-graph build, kernels, device path). Auto plans the
+/// fused engine, so the paper benches name this one explicitly.
+inline api::Session in_memory(const core::PicassoParams& params) {
+  return api::SessionBuilder()
+      .params(params)
+      .strategy(api::ExecutionStrategy::InMemory)
+      .build();
 }
 
 /// Stamps a standard header on every bench so outputs are self-describing.

@@ -51,7 +51,7 @@ int main() {
       params.palette_percent = percent;
       params.alpha = 4.5;
       params.seed = 1;
-      const auto r = api::Session::from_params(params)
+      const auto r = bench::in_memory(params)
                          .solve(api::Problem::pauli(set))
                          .result;
       const std::size_t mem = set.logical_bytes() + r.peak_logical_bytes;

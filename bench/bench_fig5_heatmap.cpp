@@ -39,7 +39,7 @@ int main() {
       params.palette_percent = percents[pi];
       params.alpha = alphas[ai];
       params.seed = 1;
-      const auto r = api::Session::from_params(params)
+      const auto r = bench::in_memory(params)
                          .solve(api::Problem::pauli(set))
                          .result;
       grid[ai * percents.size() + pi] = {

@@ -5,8 +5,8 @@
 //      R-MAT oracle (the paper's device-resident phase, §V);
 //   2. Jones-Plassmann — round-parallel frontier coloring (the comparator
 //      family of Tables III/IV);
-//   3. multi-device Picasso — D simulated device shards ingested
-//      concurrently (§VIII future work).
+//   3. fused Picasso — the production engine (what Auto plans), whose
+//      bucket-strike scans and degree pass run on the pool.
 //
 // Every configuration is checked bit-identical to the serial reference
 // before its time is reported (RuntimeConfig::deterministic is on), so the
@@ -23,7 +23,6 @@
 #include "api/session.hpp"
 #include "bench_common.hpp"
 #include "coloring/jones_plassmann.hpp"
-#include "core/multi_device.hpp"
 #include "core/picasso.hpp"
 #include "graph/graph_gen.hpp"
 #include "runtime/runtime_config.hpp"
@@ -138,42 +137,42 @@ int main() {
   jp_table.print("Jones-Plassmann rounds (JP-LDF, RMAT)");
 
   // ---------------------------------------------------------------- layer 3
-  const std::uint32_t md_n = quick ? 2000 : 6000;
-  const auto md_graph = graph::erdos_renyi(md_n, 0.02, 11);
-  core::PicassoParams md_params;
-  md_params.seed = 1;
+  const std::uint32_t fused_n = quick ? 2000 : 6000;
+  const auto fused_graph = graph::erdos_renyi(fused_n, 0.02, 11);
+  core::PicassoParams fused_params;
+  fused_params.seed = 1;
   // Problem::csr keeps the typed CsrOracle fast path (no type erasure in
-  // the timed loop), matching the pre-Session instantiation.
-  const auto md_session = [&](const core::PicassoParams& p) {
+  // the timed loop).
+  const auto fused_session = [&](const core::PicassoParams& p) {
     return api::SessionBuilder()
         .params(p)
-        .devices(4, 256u << 20)
+        .strategy(api::ExecutionStrategy::Fused)
         .build()
-        .solve(api::Problem::csr(md_graph));
+        .solve(api::Problem::csr(fused_graph));
   };
 
-  md_params.runtime.num_threads = 1;
-  util::WallTimer md_timer;
-  const auto md_ref = md_session(md_params);
-  const double md_serial_s = md_timer.seconds();
-  Table md_table({"threads", "total(s)", "speedup", "identical"});
-  md_table.add_row({"1", Table::fmt(md_serial_s, 3), "1.00x", "ref"});
+  fused_params.runtime.num_threads = 1;
+  util::WallTimer fused_timer;
+  const auto fused_ref = fused_session(fused_params);
+  const double fused_serial_s = fused_timer.seconds();
+  Table fused_table({"threads", "total(s)", "speedup", "identical"});
+  fused_table.add_row({"1", Table::fmt(fused_serial_s, 3), "1.00x", "ref"});
   for (unsigned t : kThreadSteps) {
     if (t == 1) continue;
-    md_params.runtime.num_threads = t;
+    fused_params.runtime.num_threads = t;
     util::WallTimer timer;
-    const auto r = md_session(md_params);
+    const auto r = fused_session(fused_params);
     const double s = timer.seconds();
-    const bool same = r.result.colors == md_ref.result.colors;
-    md_table.add_row({Table::fmt_int(t), Table::fmt(s, 3),
-                      Table::fmt(md_serial_s / s, 2) + "x",
-                      same ? "yes" : "NO"});
+    const bool same = r.result.colors == fused_ref.result.colors;
+    fused_table.add_row({Table::fmt_int(t), Table::fmt(s, 3),
+                         Table::fmt(fused_serial_s / s, 2) + "x",
+                         same ? "yes" : "NO"});
     if (!same) {
-      std::printf("ERROR: multi-device coloring diverged at %u threads\n", t);
+      std::printf("ERROR: fused coloring diverged at %u threads\n", t);
       return 1;
     }
   }
-  md_table.print("multi-device Picasso (4 simulated devices)");
+  fused_table.print("fused Picasso (Session, ExecutionStrategy::Fused)");
 
   const unsigned hw = runtime::ThreadPool::hardware_threads();
   std::printf("\nhardware threads: %u\n", hw);

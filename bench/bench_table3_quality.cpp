@@ -49,7 +49,7 @@ int main() {
         params.palette_percent = percent;
         params.alpha = alpha;
         params.seed = seed;
-        const auto r = api::Session::from_params(params)
+        const auto r = bench::in_memory(params)
                            .solve(api::Problem::pauli(set))
                            .result;
         if (!coloring::is_valid_coloring(dense, r.colors)) std::abort();

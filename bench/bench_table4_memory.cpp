@@ -82,7 +82,8 @@ int main() {
         // fused engine's exact kernels (colorings stay bit-identical).
         builder.strategy(api::ExecutionStrategy::Sketch);
       } else {
-        builder.kernel(core::ConflictKernel::Indexed);
+        builder.strategy(api::ExecutionStrategy::InMemory)
+            .kernel(core::ConflictKernel::Indexed);
       }
       const api::SolveReport report =
           builder.build().solve(api::Problem::pauli(set));
@@ -194,9 +195,9 @@ int main() {
   //    bytes stay below the budget (the cache holds every chunk, so this
   //    is the single-pass regime);
   //  * 256 KiB cap — tight enough that the chunk cache thrashes, proving
-  //    the eviction + multi-pass re-scan path in CI (evictions > 0,
-  //    loads > chunks; the conflict CSR alone exceeds this cap, so the
-  //    run honestly reports within_budget=false).
+  //    the eviction + multi-pass re-read path in CI.
+  // Each streamed coloring is checked against an in-memory solve of the
+  // same params.
   {
     std::printf("\n-- Budgeted streaming pipeline (H6) --\n");
     for (const auto& spec :
@@ -214,35 +215,10 @@ int main() {
         // Force streaming (either budget keeps the small H6 encoding
         // resident otherwise) with ~16 chunks per dataset.
         options.chunk_strings = (set.size() + 15) / 16;
-        // Strategy pinned: these rows measure the materialized chunk-pair
-        // engine (Auto escalates the 256 KiB cap to fused nowadays).
-        const auto r_report =
-            api::SessionBuilder()
-                .params(params)
-                .streaming(options)
-                .strategy(api::ExecutionStrategy::BudgetedStreaming)
-                .telemetry(obs::TelemetryLevel::Counters)
-                .build()
-                .solve(api::Problem::pauli(set));
-        const core::PicassoResult& r = r_report.result;
         char peak_buf[32], budget_buf[32];
-        std::printf(
-            "%-24s peak %-10s budget %-10s within=%-3s chunks=%zu "
-            "loads=%llu evictions=%llu\n",
-            spec.name.c_str(),
-            util::format_bytes(r.memory.peak_tracked_bytes, peak_buf,
-                               sizeof(peak_buf)),
-            util::format_bytes(budget, budget_buf, sizeof(budget_buf)),
-            r.memory.within_budget() ? "yes" : "NO", r.memory.num_chunks,
-            static_cast<unsigned long long>(r.memory.chunk_loads),
-            static_cast<unsigned long long>(r.memory.chunk_evictions));
-        bench::emit_json_record(
-            "table4_memory", spec.name + "/" + tag, r.memory,
-            "\"colors\":" + std::to_string(r.num_colors) + "," +
-                bench::counters_field(r_report.telemetry.counters));
 
-        // Fused twin: same spill + chunk cache, but bucket strikes replace
-        // the chunk-pair CSR assembly entirely.
+        // The fused streaming engine: spill + chunk cache, bucket strikes
+        // off the chunked records, no conflict CSR.
         const auto f_report =
             api::SessionBuilder()
                 .params(params)
@@ -252,19 +228,27 @@ int main() {
                 .build()
                 .solve(api::Problem::pauli(set));
         const core::PicassoResult& f = f_report.result;
-        if (f.colors != r.colors) {
+        const auto reference = api::SessionBuilder()
+                                   .params(params)
+                                   .strategy(api::ExecutionStrategy::InMemory)
+                                   .build()
+                                   .solve(api::Problem::pauli(set));
+        if (f.colors != reference.result.colors) {
           std::fprintf(stderr,
                        "FATAL: fused streamed coloring diverged on %s\n",
                        spec.name.c_str());
           return 1;
         }
         std::printf(
-            "%-24s peak %-10s (fused) within=%-3s chunks=%zu loads=%llu\n",
+            "%-24s peak %-10s budget %-10s within=%-3s chunks=%zu "
+            "loads=%llu evictions=%llu\n",
             (spec.name + "/fused").c_str(),
             util::format_bytes(f.memory.peak_tracked_bytes, peak_buf,
                                sizeof(peak_buf)),
+            util::format_bytes(budget, budget_buf, sizeof(budget_buf)),
             f.memory.within_budget() ? "yes" : "NO", f.memory.num_chunks,
-            static_cast<unsigned long long>(f.memory.chunk_loads));
+            static_cast<unsigned long long>(f.memory.chunk_loads),
+            static_cast<unsigned long long>(f.memory.chunk_evictions));
         bench::emit_json_record(
             "table4_memory", spec.name + "/" + tag + "_fused", f.memory,
             "\"colors\":" + std::to_string(f.num_colors) + "," +

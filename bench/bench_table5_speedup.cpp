@@ -39,7 +39,7 @@ int main() {
     const bench::NaiveComplementOracle naive(set);
     core::PicassoParams ref_params = params;
     ref_params.kernel = core::ConflictKernel::Reference;
-    const auto ref = api::Session::from_params(ref_params)
+    const auto ref = bench::in_memory(ref_params)
                          .solve(api::Problem::oracle(naive))
                          .result;
 
@@ -48,7 +48,7 @@ int main() {
     core::PicassoParams fast_params = params;
     fast_params.kernel = core::ConflictKernel::Indexed;
     fast_params.device = &ctx;
-    const auto fast = api::Session::from_params(fast_params)
+    const auto fast = bench::in_memory(fast_params)
                           .solve(api::Problem::pauli(set))
                           .result;
 

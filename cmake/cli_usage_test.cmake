@@ -34,7 +34,7 @@ endfunction()
 expect_usage_error(bad_strategy
   ARGS color H4_1D_sto3g --strategy bogus
   STDERR_HAS "unknown execution strategy 'bogus'"
-             "valid:" "auto" "in-memory" "budgeted-streaming" "sketch"
+             "valid:" "auto" "in-memory" "semi-streaming" "fused" "sketch"
              "usage:")
 
 expect_usage_error(bad_backend

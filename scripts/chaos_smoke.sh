@@ -85,9 +85,11 @@ echo "chaos_smoke: daemon A up on $ADDR (pid $SERVE_PID)"
 # timeout without wedging a reader thread.
 exec 9<> "/dev/tcp/127.0.0.1/$PORT" || fail "could not open stalled connection"
 
-# Over-budget under --admission degrade: admitted on a downgraded plan,
-# reported DEGRADED, and still bit-identical to a local solve.
-"$CLI" remote H6_3D_631g --connect "$ADDR" --verify-local > "$WORK/a_degrade.out" 2>&1
+# A materializing plan over budget under --admission degrade: admitted on a
+# downgraded (fused) plan, reported DEGRADED, and still bit-identical to a
+# local solve.
+"$CLI" remote H6_3D_631g --connect "$ADDR" --strategy in-memory --verify-local \
+       > "$WORK/a_degrade.out" 2>&1
 code=$?
 [ "$code" -eq 0 ] || fail "degrade-admission request exited $code: $(cat "$WORK/a_degrade.out")"
 grep -q "DEGRADED" "$WORK/a_degrade.out" || fail "downgrade not reported: $(cat "$WORK/a_degrade.out")"
@@ -96,7 +98,7 @@ grep -q "local verification MATCH" "$WORK/a_degrade.out" \
 
 # A deadline far shorter than the solve: structured deadline-exceeded.
 "$CLI" remote H4_3D_sto3g --connect "$ADDR" --percent 0.5 --alpha 1.05 \
-       --deadline-ms 40 > "$WORK/a_deadline.out" 2>&1
+       --strategy in-memory --deadline-ms 40 > "$WORK/a_deadline.out" 2>&1
 code=$?
 [ "$code" -ne 0 ] || fail "deadline request unexpectedly succeeded"
 grep -q "deadline-exceeded" "$WORK/a_deadline.out" \
@@ -158,7 +160,7 @@ grep -q "cache-hit" "$WORK/b_retry.out" \
 # A budget below 2x the encoded input plans a disk spill; every spill write
 # raises injected ENOSPC, so the engine must fall back in memory and report
 # the downgrade instead of failing.
-"$CLI" remote H6_3D_631g --connect "unix:$SOCK_B" --strategy streaming \
+"$CLI" remote H6_3D_631g --connect "unix:$SOCK_B" --strategy fused \
        --budget 1500000 --verify-local > "$WORK/b_enospc.out" 2>&1
 code=$?
 [ "$code" -eq 0 ] || fail "ENOSPC request exited $code: $(cat "$WORK/b_enospc.out")"
@@ -192,7 +194,7 @@ wait_for_unix "$SOCK_C" || { cat "$WORK/serve_c.err" >&2; echo "chaos_smoke: dae
 CRASH_PID=$SERVE_PID
 echo "chaos_smoke: daemon C up on unix:$SOCK_C (pid $CRASH_PID)"
 
-"$CLI" remote H6_3D_631g --connect "unix:$SOCK_C" --strategy streaming \
+"$CLI" remote H6_3D_631g --connect "unix:$SOCK_C" --strategy fused \
        --budget 1500000 > "$WORK/c_solve.out" 2>&1 &
 CLIENT_PID=$!
 for _ in $(seq 100); do

@@ -1,13 +1,7 @@
 #include "api/session.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <thread>
+#include <limits>
 #include <utility>
 
 #include "util/fnv.hpp"
@@ -15,24 +9,6 @@
 namespace picasso::api {
 
 namespace {
-
-/// Strings per chunk a streamed plan will use — must mirror
-/// core::solve_pauli_budgeted's derivation so the reported plan and the
-/// engine agree. `per_string` is the resident cost of one string.
-std::size_t planned_chunk_strings(std::size_t explicit_chunk,
-                                  std::size_t budget, std::size_t per_string,
-                                  std::size_t num_strings) {
-  std::size_t chunk = explicit_chunk;
-  if (chunk == 0 && budget > 0) {
-    // Two resident chunks (the pair scan's working set) get half the budget.
-    const std::size_t per_chunk_bytes = budget / 4;
-    chunk = std::max<std::size_t>(
-        1, per_chunk_bytes / std::max<std::size_t>(1, per_string));
-  }
-  if (chunk == 0) chunk = num_strings;  // no guidance: one chunk
-  return std::min(std::max<std::size_t>(1, chunk),
-                  std::max<std::size_t>(1, num_strings));
-}
 
 bool oracle_capable(ProblemKind kind) {
   switch (kind) {
@@ -47,18 +23,75 @@ bool oracle_capable(ProblemKind kind) {
   }
 }
 
+bool spill_backed(ProblemKind kind) {
+  return kind == ProblemKind::SpillFile || kind == ProblemKind::SpillReader;
+}
+
 pauli::SimdLevel simd_for(core::PauliBackend backend) {
   return core::resolve_backend(backend) == core::PauliBackend::PackedScalar
              ? pauli::SimdLevel::Scalar
              : pauli::SimdLevel::Auto;
 }
 
-/// A fresh spill path for an incremental state (the state owns and removes
-/// the file). Shares core::unique_spill_path's process-wide counter with
-/// the budgeted engines, so no two concurrent solves — whatever mix of
-/// incremental and streamed — can collide on a name.
-std::string incremental_spill_path(const std::string& spill_dir) {
-  return core::unique_spill_path(spill_dir, "incr");
+/// Calls `fn(oracle)` with the adjacency oracle of an oracle-capable
+/// problem and returns its result. Pauli kinds pick the anticommutation
+/// oracle for params.pauli_backend and charge their encoded input to
+/// MemSubsystem::PauliInput for the duration, before the engine's run scope
+/// rebases the peaks.
+template <typename Fn>
+core::PicassoResult visit_oracle(const Problem& problem,
+                                 const core::PicassoParams& params, Fn&& fn) {
+  switch (problem.kind()) {
+    case ProblemKind::Pauli:
+      return core::with_pauli_oracle(problem.pauli_set(),
+                                     params.pauli_backend, fn);
+    case ProblemKind::PackedPauli: {
+      const pauli::PackedPauliSet& set = problem.packed_set();
+      util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
+                                      set.logical_bytes());
+      return fn(graph::PackedComplementOracle(set.view(),
+                                              simd_for(params.pauli_backend)));
+    }
+    case ProblemKind::Csr:
+      return fn(graph::CsrOracle(problem.csr_graph()));
+    case ProblemKind::Dense:
+      return fn(graph::DenseOracle(problem.dense_graph()));
+    default:
+      return fn(problem.oracle_ref());
+  }
+}
+
+/// The Csr/Dense tier of ExecutionStrategy::Sketch: a fused solve against a
+/// Bloom filter of the edge set (no false negatives, so the coloring stays
+/// valid), with the filter's accuracy recorded into `info`.
+core::PicassoResult solve_hashed(const Problem& problem,
+                                 core::PicassoParams params, SketchInfo& info) {
+  // The hashed oracle's query counters are plain (non-atomic): keep every
+  // edge query on the scheme body's thread.
+  params.runtime.serial_cutoff = 0xffffffffu;
+  const auto run = [&](const auto& hashed) {
+    util::ScopedCharge sketch_charge(util::MemSubsystem::SketchSigs,
+                                     hashed.bloom_bytes());
+    core::PicassoResult result = core::solve_fused(hashed, params);
+    info.hashed = true;
+    info.probes = hashed.stats().probes;
+    info.claimed = hashed.stats().claimed;
+    info.false_conflicts = hashed.stats().false_conflicts;
+    info.false_conflict_rate = hashed.stats().false_conflict_rate();
+    info.sketch_bytes = hashed.bloom_bytes();
+    return result;
+  };
+  if (problem.kind() == ProblemKind::Csr) {
+    const graph::CsrGraph& g = problem.csr_graph();
+    const graph::CsrOracle exact(g);
+    return run(core::build_hashed_oracle(
+        g, exact, core::hashed_sketch_bits(g.num_edges(), params),
+        params.seed));
+  }
+  const graph::DenseGraph& g = problem.dense_graph();
+  const graph::DenseOracle exact(g);
+  return run(core::build_hashed_oracle(
+      exact, core::hashed_sketch_bits(g.num_edges(), params), params.seed));
 }
 
 /// Builds the resident state for a session. A memory budget or an explicit
@@ -71,17 +104,14 @@ std::shared_ptr<core::FusedState> make_incremental_state(
     const core::StreamingOptions& streaming, std::size_t num_qubits) {
   auto state = std::make_shared<core::FusedState>(params, update_params);
   if (streaming.chunk_strings > 0 || params.memory_budget_bytes > 0) {
-    std::size_t chunk = streaming.chunk_strings;
-    if (chunk == 0) {
-      // Same derivation as the budgeted engine: two resident chunks (one
-      // pinned probe target plus working set) get about half the budget.
-      const std::size_t per_string =
-          pauli::ChunkedPauliReader::resident_bytes_for(1, num_qubits);
-      chunk = std::max<std::size_t>(
-          1, (params.memory_budget_bytes / 4) /
-                 std::max<std::size_t>(1, per_string));
-    }
-    state->use_spill(incremental_spill_path(streaming.spill_dir), chunk);
+    const std::size_t chunk = core::spill_chunk_strings(
+        streaming.chunk_strings, params.memory_budget_bytes,
+        pauli::ChunkedPauliReader::resident_bytes_for(1, num_qubits),
+        std::numeric_limits<std::size_t>::max());
+    // Shares core::unique_spill_path's process-wide counter with the
+    // budgeted engine, so no two concurrent solves can collide on a name.
+    state->use_spill(core::unique_spill_path(streaming.spill_dir, "incr"),
+                     chunk);
   }
   return state;
 }
@@ -112,9 +142,7 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
   switch (strategy) {
     case ExecutionStrategy::Auto: return "auto";
     case ExecutionStrategy::InMemory: return "in-memory";
-    case ExecutionStrategy::BudgetedStreaming: return "budgeted-streaming";
     case ExecutionStrategy::SemiStreaming: return "semi-streaming";
-    case ExecutionStrategy::MultiDevice: return "multi-device";
     case ExecutionStrategy::Fused: return "fused";
     case ExecutionStrategy::Sketch: return "sketch";
   }
@@ -123,16 +151,13 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
 
 ExecutionStrategy parse_strategy(std::string_view name) {
   constexpr ExecutionStrategy kAll[] = {
-      ExecutionStrategy::Auto,          ExecutionStrategy::InMemory,
-      ExecutionStrategy::BudgetedStreaming,
-      ExecutionStrategy::SemiStreaming, ExecutionStrategy::MultiDevice,
-      ExecutionStrategy::Fused,         ExecutionStrategy::Sketch};
+      ExecutionStrategy::Auto, ExecutionStrategy::InMemory,
+      ExecutionStrategy::SemiStreaming, ExecutionStrategy::Fused,
+      ExecutionStrategy::Sketch};
   for (ExecutionStrategy strategy : kAll) {
     if (name == to_string(strategy)) return strategy;
   }
-  // CLI shorthands.
-  if (name == "inmemory") return ExecutionStrategy::InMemory;
-  if (name == "streaming") return ExecutionStrategy::BudgetedStreaming;
+  if (name == "inmemory") return ExecutionStrategy::InMemory;  // CLI shorthand
   // Build the valid list from the same enumeration the parser walks, so
   // the message can never drift from what is actually accepted.
   std::string valid;
@@ -140,9 +165,6 @@ ExecutionStrategy parse_strategy(std::string_view name) {
     if (!valid.empty()) valid += ", ";
     valid += to_string(strategy);
     if (strategy == ExecutionStrategy::InMemory) valid += " (inmemory)";
-    if (strategy == ExecutionStrategy::BudgetedStreaming) {
-      valid += " (streaming)";
-    }
   }
   throw std::invalid_argument("unknown execution strategy '" +
                               std::string(name) + "' (valid: " + valid + ")");
@@ -193,11 +215,9 @@ std::string SolveTelemetry::to_json() const {
 std::string SolvePlan::summary() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "strategy=%s backend=%s budget=%zu chunk_strings=%zu "
-                "devices=%" PRIu32 " (%s)",
+                "strategy=%s backend=%s budget=%zu chunk_strings=%zu (%s)",
                 to_string(strategy), core::to_string(backend),
-                memory_budget_bytes, chunk_strings, num_devices,
-                reason.c_str());
+                memory_budget_bytes, chunk_strings, reason.c_str());
   return buf;
 }
 
@@ -216,34 +236,14 @@ Session SessionBuilder::build() const {
     throw ApiError(ErrorCode::InvalidArgument, "max_iterations",
                    "must be >= 1, got " + std::to_string(p.max_iterations));
   }
-  if (session_.num_devices_ > 0 && session_.device_capacity_bytes_ == 0) {
-    throw ApiError(ErrorCode::InvalidArgument, "devices",
-                   "device capacity must be > 0 bytes");
-  }
-  if (session_.num_devices_ > 0 && p.device != nullptr) {
-    throw ApiError(ErrorCode::InvalidConfiguration, "devices",
-                   "single simulated device (.device()) and multi-device "
-                   "sharding (.devices()) are mutually exclusive");
-  }
-  if (session_.strategy_ == ExecutionStrategy::MultiDevice &&
-      session_.num_devices_ == 0) {
-    throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
-                   "MultiDevice strategy requires .devices(count, capacity)");
-  }
-  if (session_.strategy_ == ExecutionStrategy::BudgetedStreaming &&
-      p.memory_budget_bytes == 0 && session_.streaming_.chunk_strings == 0) {
-    throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
-                   "BudgetedStreaming requires .memory_budget(bytes) or "
-                   "streaming chunk_strings");
-  }
   if ((session_.strategy_ == ExecutionStrategy::Fused ||
        session_.strategy_ == ExecutionStrategy::Sketch) &&
-      (p.device != nullptr || session_.num_devices_ > 0)) {
+      p.device != nullptr) {
     throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
                    std::string("the ") + to_string(session_.strategy_) +
                        " strategy colors straight off the oracle and does "
-                       "not run the simulated-device pipelines; drop "
-                       ".device()/.devices() or pick another strategy");
+                       "not run the simulated-device pipeline; drop the "
+                       "device or pick another strategy");
   }
   return session_;
 }
@@ -252,72 +252,21 @@ SolvePlan Session::plan(const Problem& problem) const {
   SolvePlan plan;
   plan.backend = core::resolve_backend(params_.pauli_backend);
   plan.memory_budget_bytes = params_.memory_budget_bytes;
-  plan.num_devices = num_devices_;
 
   const ProblemKind kind = problem.kind();
-  const std::size_t n = problem.num_vertices();
-  const std::size_t per_string =
-      n > 0 ? problem.logical_bytes() / n : problem.logical_bytes();
-
   ExecutionStrategy strategy = strategy_;
   if (strategy == ExecutionStrategy::Auto) {
-    if (kind == ProblemKind::SpillFile || kind == ProblemKind::SpillReader) {
-      strategy = ExecutionStrategy::BudgetedStreaming;
-      plan.reason = "problem is spill-backed";
-      // Same escalation as the Pauli spill gate below: honor the cap with
-      // the fused streaming engine when the projected CSR would not fit.
-      if (params_.memory_budget_bytes > 0 && n > 0 &&
-          core::projected_conflict_csr_bytes(static_cast<std::uint32_t>(n),
-                                             params_.palette_percent,
-                                             params_.alpha) >
-              params_.memory_budget_bytes) {
-        strategy = ExecutionStrategy::Fused;
-        plan.reason =
-            "spill-backed input + projected conflict CSR exceeds the memory "
-            "budget";
-      }
-    } else if (kind == ProblemKind::EdgeStream) {
+    if (kind == ProblemKind::EdgeStream) {
       strategy = ExecutionStrategy::SemiStreaming;
       plan.reason = "problem is an edge stream";
-    } else if (num_devices_ > 0) {
-      strategy = ExecutionStrategy::MultiDevice;
-      plan.reason = "device list configured";
-    } else if (kind == ProblemKind::Pauli && n > 0 &&
-               (streaming_.chunk_strings > 0 ||
-                (params_.memory_budget_bytes > 0 &&
-                 2 * problem.logical_bytes() > params_.memory_budget_bytes))) {
-      // Mirrors the budgeted engine's own gate: stream when holding the
-      // whole encoded input would eat more than half the budget.
-      strategy = ExecutionStrategy::BudgetedStreaming;
-      plan.reason = streaming_.chunk_strings > 0
-                        ? "explicit chunk size forces streaming"
-                        : "encoded input exceeds half the memory budget";
-      // Escalate to the fused streaming engine when even the projected
-      // conflict-CSR assembly would blow the budget: the materialized
-      // chunk-pair engine would honor the spill but not the cap. When the
-      // CSR fits, the materialized engine keeps its I/O-optimal ordered
-      // chunk-pair scans (fused strikes load chunks on demand).
-      if (params_.memory_budget_bytes > 0 &&
-          core::projected_conflict_csr_bytes(static_cast<std::uint32_t>(n),
-                                             params_.palette_percent,
-                                             params_.alpha) >
-              params_.memory_budget_bytes) {
-        strategy = ExecutionStrategy::Fused;
-        plan.reason =
-            "spilled input + projected conflict CSR exceeds the memory budget";
-      }
-    } else if (oracle_capable(kind) && params_.device == nullptr && n > 0 &&
-               params_.memory_budget_bytes > 0 &&
-               core::projected_conflict_csr_bytes(
-                   static_cast<std::uint32_t>(n), params_.palette_percent,
-                   params_.alpha) > params_.memory_budget_bytes) {
-      // The input fits, but materialising the conflict CSR would not: color
-      // edge-free off the palette buckets instead of building it.
-      strategy = ExecutionStrategy::Fused;
-      plan.reason = "projected conflict CSR exceeds the memory budget";
-    } else {
+    } else if (params_.device != nullptr && oracle_capable(kind)) {
       strategy = ExecutionStrategy::InMemory;
-      plan.reason = "input fits the configuration in memory";
+      plan.reason = "simulated device configured (Algorithm 3 runs in memory)";
+    } else {
+      strategy = ExecutionStrategy::Fused;
+      plan.reason = spill_backed(kind)
+                        ? "problem is spill-backed"
+                        : "fused engine: no conflict graph is built";
     }
   } else {
     plan.reason = "strategy forced by configuration";
@@ -332,15 +281,6 @@ SolvePlan Session::plan(const Problem& problem) const {
                            to_string(kind) + " problem");
       }
       break;
-    case ExecutionStrategy::BudgetedStreaming:
-      if (kind != ProblemKind::Pauli && kind != ProblemKind::SpillFile &&
-          kind != ProblemKind::SpillReader) {
-        throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
-                       std::string("BudgetedStreaming needs a Pauli or "
-                                   "spill-backed problem, got ") +
-                           to_string(kind));
-      }
-      break;
     case ExecutionStrategy::SemiStreaming:
       if (kind != ProblemKind::EdgeStream) {
         throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
@@ -349,16 +289,8 @@ SolvePlan Session::plan(const Problem& problem) const {
                            to_string(kind));
       }
       break;
-    case ExecutionStrategy::MultiDevice:
-      if (!oracle_capable(kind)) {
-        throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
-                       std::string("MultiDevice cannot shard a ") +
-                           to_string(kind) + " problem");
-      }
-      break;
     case ExecutionStrategy::Fused:
-      if (!oracle_capable(kind) && kind != ProblemKind::SpillFile &&
-          kind != ProblemKind::SpillReader) {
+      if (!oracle_capable(kind) && !spill_backed(kind)) {
         throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
                        std::string("Fused needs an oracle-capable or "
                                    "spill-backed problem, got ") +
@@ -383,33 +315,24 @@ SolvePlan Session::plan(const Problem& problem) const {
   }
 
   plan.strategy = strategy;
-  if (strategy == ExecutionStrategy::BudgetedStreaming) {
-    if (kind == ProblemKind::SpillReader) {
-      plan.chunk_strings = problem.reader().strings_per_chunk();
-    } else {
-      plan.chunk_strings =
-          planned_chunk_strings(streaming_.chunk_strings,
-                                params_.memory_budget_bytes, per_string, n);
-    }
-  } else if (strategy == ExecutionStrategy::Fused) {
-    // A fused solve streams only when spill-backed input or the budgeted
-    // engine's own gate forces it; chunk_strings == 0 means the in-memory
-    // fused engine runs. Mirrors solve_pauli_budgeted_fused so plan ==
-    // execution.
+  // A fused solve streams when its input is spill-backed or when the spill
+  // gate fires for a Pauli set; chunk_strings == 0 means it runs in memory.
+  // The engines take this chunking as given, so plan == execution.
+  if (strategy == ExecutionStrategy::Fused) {
+    const std::size_t n = problem.num_vertices();
     if (kind == ProblemKind::SpillReader) {
       plan.chunk_strings = problem.reader().strings_per_chunk();
     } else if (kind == ProblemKind::SpillFile ||
-               (kind == ProblemKind::Pauli &&
-                (streaming_.chunk_strings > 0 ||
-                 (params_.memory_budget_bytes > 0 &&
-                  2 * problem.logical_bytes() >
-                      params_.memory_budget_bytes)))) {
-      plan.chunk_strings =
-          planned_chunk_strings(streaming_.chunk_strings,
-                                params_.memory_budget_bytes, per_string, n);
+               (kind == ProblemKind::Pauli && n > 0 &&
+                core::spill_required(problem.logical_bytes(),
+                                     params_.memory_budget_bytes,
+                                     streaming_.chunk_strings))) {
+      // The problem's logical bytes are the resident cost of its strings.
+      plan.chunk_strings = core::spill_chunk_strings(
+          streaming_.chunk_strings, params_.memory_budget_bytes,
+          n > 0 ? problem.logical_bytes() / n : 0, n);
     }
   }
-  if (strategy != ExecutionStrategy::MultiDevice) plan.num_devices = 0;
   return plan;
 }
 
@@ -417,9 +340,10 @@ SolveReport Session::solve(const Problem& problem,
                            const SolveOptions& options) const {
   SolveReport report;
   report.plan = plan(problem);
-  if (problem.kind() == ProblemKind::Pauli) {
+  const ProblemKind kind = problem.kind();
+  if (kind == ProblemKind::Pauli) {
     report.problem_hash = problem_fingerprint(problem.pauli_set(), params_);
-  } else if (problem.kind() == ProblemKind::PackedPauli) {
+  } else if (kind == ProblemKind::PackedPauli) {
     report.problem_hash =
         problem_fingerprint(problem.packed_set().view(),
                             problem.packed_set().num_qubits(), params_);
@@ -441,217 +365,50 @@ SolveReport Session::solve(const Problem& problem,
   obs::TraceRecorder recorder;
   if (telemetry_ == obs::TelemetryLevel::Full) params.trace = &recorder;
 
+  const auto fused = [&params](const auto& oracle) {
+    return core::solve_fused(oracle, params);
+  };
   switch (report.plan.strategy) {
-    case ExecutionStrategy::InMemory: {
-      switch (problem.kind()) {
-        case ProblemKind::Pauli:
-          report.result = core::solve_pauli(problem.pauli_set(), params);
-          break;
-        case ProblemKind::PackedPauli: {
-          const pauli::PackedPauliSet& set = problem.packed_set();
-          util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
-                                          set.logical_bytes());
-          const graph::PackedComplementOracle oracle(
-              set.view(), simd_for(params.pauli_backend));
-          report.result = core::solve_oracle(oracle, params);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrOracle oracle(problem.csr_graph());
-          report.result = core::solve_oracle(oracle, params);
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle oracle(problem.dense_graph());
-          report.result = core::solve_oracle(oracle, params);
-          break;
-        }
-        default:
-          report.result = core::solve_oracle(problem.oracle_ref(), params);
-          break;
-      }
+    case ExecutionStrategy::InMemory:
+      report.result =
+          visit_oracle(problem, params, [&params](const auto& oracle) {
+            return core::solve_oracle(oracle, params);
+          });
       break;
-    }
-    case ExecutionStrategy::BudgetedStreaming: {
-      if (problem.kind() == ProblemKind::Pauli) {
-        // Hand the engine the planned chunking so a forced streaming
-        // strategy streams even when the Auto heuristic would not.
-        core::StreamingOptions options_with_chunk = streaming_;
-        options_with_chunk.chunk_strings = report.plan.chunk_strings;
-        report.result = core::solve_pauli_budgeted(problem.pauli_set(),
-                                                   params, options_with_chunk);
-      } else if (problem.kind() == ProblemKind::SpillReader) {
-        report.result = core::solve_pauli_chunked(problem.reader(), params);
-      } else {
-        const pauli::ChunkedPauliReader reader(problem.path(),
-                                               report.plan.chunk_strings);
-        report.result = core::solve_pauli_chunked(reader, params);
-      }
-      break;
-    }
     case ExecutionStrategy::SemiStreaming:
       report.result = core::solve_stream(problem.num_vertices(),
                                          problem.edge_source(), params);
       break;
-    case ExecutionStrategy::Fused: {
-      switch (problem.kind()) {
-        case ProblemKind::Pauli: {
-          // The budgeted-fused wrapper re-evaluates the planned chunking and
-          // falls back to the in-memory fused engine when nothing forces a
-          // spill (plan.chunk_strings == 0).
-          core::StreamingOptions options_with_chunk = streaming_;
-          options_with_chunk.chunk_strings = report.plan.chunk_strings;
-          report.result = core::solve_pauli_budgeted_fused(
-              problem.pauli_set(), params, options_with_chunk);
-          break;
-        }
-        case ProblemKind::SpillReader:
-          report.result =
-              core::solve_pauli_chunked_fused(problem.reader(), params);
-          break;
-        case ProblemKind::SpillFile: {
-          const pauli::ChunkedPauliReader reader(problem.path(),
-                                                 report.plan.chunk_strings);
-          report.result = core::solve_pauli_chunked_fused(reader, params);
-          break;
-        }
-        case ProblemKind::PackedPauli: {
-          const pauli::PackedPauliSet& set = problem.packed_set();
-          util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
-                                          set.logical_bytes());
-          const graph::PackedComplementOracle oracle(
-              set.view(), simd_for(params.pauli_backend));
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrOracle oracle(problem.csr_graph());
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle oracle(problem.dense_graph());
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
-        default:
-          report.result = core::solve_fused(problem.oracle_ref(), params);
-          break;
+    case ExecutionStrategy::Fused:
+      if (kind == ProblemKind::SpillReader) {
+        report.result =
+            core::solve_pauli_chunked_fused(problem.reader(), params);
+      } else if (kind == ProblemKind::SpillFile) {
+        const pauli::ChunkedPauliReader reader(problem.path(),
+                                               report.plan.chunk_strings);
+        report.result = core::solve_pauli_chunked_fused(reader, params);
+      } else if (report.plan.chunk_strings > 0) {
+        core::StreamingOptions streamed = streaming_;
+        streamed.chunk_strings = report.plan.chunk_strings;
+        report.result = core::solve_pauli_budgeted_fused(problem.pauli_set(),
+                                                         params, streamed);
+      } else {
+        report.result = visit_oracle(problem, params, fused);
       }
       break;
-    }
     case ExecutionStrategy::Sketch: {
       SketchInfo info;
       info.used = true;
-      switch (problem.kind()) {
-        case ProblemKind::Pauli: {
-          // Sketch-prefiltered fused solve: support blooms dismiss
-          // provably-commuting candidate batches before the exact packed
-          // merge; the coloring is bit-identical to the Fused sibling.
-          params.sketch_prefilter = true;
-          report.result = core::solve_pauli_fused(problem.pauli_set(), params);
-          break;
-        }
-        case ProblemKind::PackedPauli: {
-          params.sketch_prefilter = true;
-          const pauli::PackedPauliSet& set = problem.packed_set();
-          util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
-                                          set.logical_bytes());
-          const graph::PackedComplementOracle oracle(
-              set.view(), simd_for(params.pauli_backend));
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrGraph& g = problem.csr_graph();
-          const graph::CsrOracle exact(g);
-          const auto hashed = core::build_hashed_oracle(
-              g, exact, core::hashed_sketch_bits(g.num_edges(), params),
-              params.seed);
-          // The hashed oracle's query counters are plain (non-atomic):
-          // keep every edge query on the scheme body's thread.
-          params.runtime.serial_cutoff = 0xffffffffu;
-          util::ScopedCharge sketch_charge(util::MemSubsystem::SketchSigs,
-                                           hashed.bloom_bytes());
-          report.result = core::solve_fused(hashed, params);
-          info.hashed = true;
-          info.probes = hashed.stats().probes;
-          info.claimed = hashed.stats().claimed;
-          info.false_conflicts = hashed.stats().false_conflicts;
-          info.false_conflict_rate = hashed.stats().false_conflict_rate();
-          info.sketch_bytes = hashed.bloom_bytes();
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle exact(problem.dense_graph());
-          const auto hashed = core::build_hashed_oracle(
-              exact,
-              core::hashed_sketch_bits(problem.dense_graph().num_edges(),
-                                       params),
-              params.seed);
-          params.runtime.serial_cutoff = 0xffffffffu;
-          util::ScopedCharge sketch_charge(util::MemSubsystem::SketchSigs,
-                                           hashed.bloom_bytes());
-          report.result = core::solve_fused(hashed, params);
-          info.hashed = true;
-          info.probes = hashed.stats().probes;
-          info.claimed = hashed.stats().claimed;
-          info.false_conflicts = hashed.stats().false_conflicts;
-          info.false_conflict_rate = hashed.stats().false_conflict_rate();
-          info.sketch_bytes = hashed.bloom_bytes();
-          break;
-        }
-        default:
-          break;  // unreachable: plan() rejects other kinds
+      if (kind == ProblemKind::Csr || kind == ProblemKind::Dense) {
+        report.result = solve_hashed(problem, params, info);
+      } else {
+        // Support blooms dismiss provably-commuting candidate batches before
+        // the exact packed merge; the coloring is bit-identical to the
+        // Fused sibling.
+        params.sketch_prefilter = true;
+        report.result = visit_oracle(problem, params, fused);
       }
       report.sketch = info;
-      break;
-    }
-    case ExecutionStrategy::MultiDevice: {
-      core::MultiDeviceConfig config;
-      config.num_devices = num_devices_;
-      config.device_capacity_bytes = device_capacity_bytes_;
-      core::MultiDeviceResult md;
-      switch (problem.kind()) {
-        case ProblemKind::Pauli: {
-          const pauli::PauliSet& set = problem.pauli_set();
-          switch (core::resolve_backend(params.pauli_backend)) {
-            case core::PauliBackend::Scalar: {
-              const graph::ComplementOracle oracle(set);
-              md = core::solve_multi_device(oracle, params, config);
-              break;
-            }
-            default: {
-              const graph::PackedComplementOracle oracle(
-                  set.packed_view(), simd_for(params.pauli_backend));
-              md = core::solve_multi_device(oracle, params, config);
-              break;
-            }
-          }
-          break;
-        }
-        case ProblemKind::PackedPauli: {
-          const graph::PackedComplementOracle oracle(
-              problem.packed_set().view(), simd_for(params.pauli_backend));
-          md = core::solve_multi_device(oracle, params, config);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrOracle oracle(problem.csr_graph());
-          md = core::solve_multi_device(oracle, params, config);
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle oracle(problem.dense_graph());
-          md = core::solve_multi_device(oracle, params, config);
-          break;
-        }
-        default:
-          md = core::solve_multi_device(problem.oracle_ref(), params, config);
-          break;
-      }
-      report.result = std::move(md.coloring);
-      report.devices = std::move(md.devices);
       break;
     }
     case ExecutionStrategy::Auto:
@@ -717,21 +474,10 @@ SolveReport Session::solve_incremental(const Problem& problem,
     // Graph-backed baseline: fused solve over the explicit graph, then
     // adopt the coloring. Later update() calls take GraphVertexDelta
     // increments (greedy insertion; see core::FusedState).
-    switch (kind) {
-      case ProblemKind::Csr: {
-        const graph::CsrOracle oracle(problem.csr_graph());
-        report.result = core::solve_fused(oracle, params);
-        break;
-      }
-      case ProblemKind::Dense: {
-        const graph::DenseOracle oracle(problem.dense_graph());
-        report.result = core::solve_fused(oracle, params);
-        break;
-      }
-      default:
-        report.result = core::solve_fused(problem.oracle_ref(), params);
-        break;
-    }
+    report.result =
+        visit_oracle(problem, params, [&params](const auto& oracle) {
+          return core::solve_fused(oracle, params);
+        });
     state = std::make_shared<core::FusedState>(params_, update_params_);
     state->adopt_graph_solution(report.result.colors);
   }

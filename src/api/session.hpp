@@ -16,13 +16,16 @@
 //   // report.result : the usual core::PicassoResult
 //   // report.plan   : which strategy/backend/chunking actually ran
 //
-// solve() plans an execution strategy from the problem kind and size —
-// in-memory oracle drive, memory-budgeted streaming, semi-streaming edge
-// passes, or multi-device sharding — and runs the existing core engines
-// underneath, so colorings are bit-identical to the legacy free functions
-// for equal parameters. solve(problem, options) adds per-iteration progress
-// callbacks and cooperative cancellation; solve_async() runs the same
-// staged pipeline on a worker thread behind a cancellable handle.
+// solve() plans an execution strategy from the problem kind and runs one
+// production engine: the fused engine, which colors straight off the
+// palette buckets and never builds the conflict graph, in memory or —
+// under a tight memory budget or with spill-backed input — streamed off a
+// chunked spill file. Edge streams take the semi-streaming driver, and a
+// configured simulated device (Algorithm 3) the in-memory reference
+// engine. Every strategy produces the same coloring for equal parameters.
+// solve(problem, options) adds per-iteration progress callbacks and
+// cooperative cancellation; solve_async() runs the same staged pipeline on
+// a worker thread behind a cancellable handle.
 
 #include <cstdint>
 #include <future>
@@ -34,7 +37,6 @@
 #include "api/problem.hpp"
 #include "api/version.hpp"
 #include "core/incremental.hpp"
-#include "core/multi_device.hpp"
 #include "core/picasso.hpp"
 #include "core/solve_control.hpp"
 #include "core/solve_fused.hpp"
@@ -44,19 +46,21 @@
 
 namespace picasso::api {
 
-/// How a solve executes. Auto (the default) picks from the problem kind,
-/// the memory budget and the device list; the rest force one pipeline and
-/// fail with ApiError(IncompatibleStrategy) when the problem cannot run it.
+/// How a solve executes. Auto (the default) plans Fused, except for an edge
+/// stream (SemiStreaming) and a configured simulated device (InMemory); the
+/// rest force one pipeline and fail with ApiError(IncompatibleStrategy)
+/// when the problem cannot run it. The numeric values are pinned:
+/// service::RemoteParams::strategy carries them on the wire, and the gaps
+/// (2, 4) are retired strategies the server answers with BadRequest.
 enum class ExecutionStrategy {
-  Auto,
-  InMemory,           // oracle driver, whole input resident
-  BudgetedStreaming,  // spill + chunked pair-scan under the memory budget
-  SemiStreaming,      // one edge pass per iteration over an edge stream
-  MultiDevice,        // conflict build sharded over simulated devices
-  Fused,              // edge-free engine: no conflict CSR is ever built
+  Auto = 0,
+  InMemory = 1,       // reference engine: materializes each iteration's
+                      // conflict CSR (forced only, or with a device)
+  SemiStreaming = 3,  // one edge pass per iteration over an edge stream
+  Fused = 5,          // edge-free engine: no conflict CSR is ever built
                       // (spills + strikes off chunked records when the
                       // budget/chunking forces streaming)
-  Sketch,             // probabilistic tier: fused engine with the Bloom
+  Sketch = 6,         // probabilistic tier: fused engine with the Bloom
                       // support-sketch prefilter for Pauli kinds; a fully
                       // hashed edge oracle for Csr/Dense graphs (colorings
                       // stay valid — the hash admits no false negatives)
@@ -65,10 +69,9 @@ enum class ExecutionStrategy {
 const char* to_string(ExecutionStrategy strategy) noexcept;
 
 /// Inverse of to_string(ExecutionStrategy): parses "auto" / "in-memory" /
-/// "budgeted-streaming" / "semi-streaming" / "multi-device" / "fused" /
-/// "sketch" (plus the CLI shorthands "inmemory" and "streaming"). Throws
-/// std::invalid_argument naming the valid spellings on anything else — the
-/// CLI surfaces that message verbatim with exit code 2.
+/// "semi-streaming" / "fused" / "sketch" (plus the CLI shorthand
+/// "inmemory"). Throws std::invalid_argument naming the valid spellings on
+/// anything else — the CLI surfaces that message verbatim with exit code 2.
 ExecutionStrategy parse_strategy(std::string_view name);
 
 /// The execution decision solve() made (or plan() previews), returned
@@ -77,8 +80,7 @@ struct SolvePlan {
   ExecutionStrategy strategy = ExecutionStrategy::InMemory;
   core::PauliBackend backend = core::PauliBackend::Packed;  // resolved
   std::size_t memory_budget_bytes = 0;
-  std::size_t chunk_strings = 0;   // streaming plans: strings per chunk
-  std::uint32_t num_devices = 0;   // multi-device plans
+  std::size_t chunk_strings = 0;   // streamed plans: strings per chunk
   std::string reason;              // one line of why, for logs
 
   /// One-line human-readable summary ("streamed: 4096 strings/chunk ...").
@@ -131,8 +133,7 @@ struct SketchInfo {
   std::size_t sketch_bytes = 0;       // filter footprint (Bloom bit array)
 };
 
-/// PicassoResult enriched with the plan that produced it (and, for
-/// multi-device runs, the per-shard stats of core::MultiDeviceResult).
+/// PicassoResult enriched with the plan that produced it.
 struct SolveReport {
   core::PicassoResult result;
   SolvePlan plan;
@@ -142,24 +143,11 @@ struct SolveReport {
   /// result cache trusts.
   std::uint64_t problem_hash = 0;
   SolveTelemetry telemetry;  // empty unless SessionBuilder::telemetry()
-  std::vector<core::DeviceShardStats> devices;  // empty unless MultiDevice
   /// Set by Session::update() only: the insertion/recolor/escalation work
   /// accounting of that one delta.
   std::optional<core::UpdateStats> update;
   /// Set by ExecutionStrategy::Sketch solves only.
   std::optional<SketchInfo> sketch;
-
-  std::uint64_t total_shard_edges() const noexcept {
-    return core::total_shard_edges(devices);
-  }
-  /// max/mean edge load across devices; 1.0 = perfectly balanced (also the
-  /// reading for a non-sharded run with no device stats).
-  double shard_imbalance() const noexcept {
-    return core::shard_imbalance(devices);
-  }
-  std::size_t max_device_peak_bytes() const noexcept {
-    return core::max_shard_peak_bytes(devices);
-  }
 };
 
 /// One increment handed to Session::update(): either new Pauli records to
@@ -251,7 +239,7 @@ class Session {
 
   /// Bridges existing PicassoParams-based code onto the session pipeline —
   /// every field (seed, palette, backend, runtime, budget, device, hooks)
-  /// carries over. The legacy shims are implemented with this.
+  /// carries over.
   static Session from_params(const core::PicassoParams& params) {
     Session s;
     s.params_ = params;
@@ -273,7 +261,7 @@ class Session {
 
   /// Staged solve with cooperative cancellation and per-iteration progress.
   /// A stop requested through options.stop raises core::SolveCancelled from
-  /// the next iteration (or chunk-pair) boundary; a cancelled budgeted
+  /// the next iteration (or bucket-scan) boundary; a cancelled budgeted
   /// solve removes its spill file before unwinding.
   SolveReport solve(const Problem& problem, const SolveOptions& options) const;
 
@@ -331,8 +319,6 @@ class Session {
   core::StreamingOptions streaming_;
   obs::TelemetryLevel telemetry_ = obs::TelemetryLevel::Off;
   ExecutionStrategy strategy_ = ExecutionStrategy::Auto;
-  std::uint32_t num_devices_ = 0;  // 0 = multi-device not configured
-  std::size_t device_capacity_bytes_ = 256u << 20;
   core::UpdateParams update_params_;
   // shared_ptr so Session stays copyable (solve_async copies the session);
   // copies share the incremental state.
@@ -402,24 +388,12 @@ class SessionBuilder {
     return *this;
   }
 
-  /// Hard cap on tracked resident bytes; also what Auto weighs when
-  /// deciding to stream (budget < 2x encoded input => spill + chunk).
+  /// Hard cap on tracked resident bytes. A Pauli solve on the fused engine
+  /// spills its input and streams it in chunks when the budget is below
+  /// twice the encoded input (core::spill_required); otherwise the budget
+  /// is reported against (MemoryReport::within_budget).
   SessionBuilder& memory_budget(std::size_t bytes) {
     session_.params_.memory_budget_bytes = bytes;
-    return *this;
-  }
-
-  /// Routes conflict builds through one simulated device (Algorithm 3).
-  SessionBuilder& device(device::DeviceContext* device) {
-    session_.params_.device = device;
-    return *this;
-  }
-
-  /// Shards conflict builds over `count` simulated devices of
-  /// `capacity_bytes` each; Auto then plans MultiDevice execution.
-  SessionBuilder& devices(std::uint32_t count, std::size_t capacity_bytes) {
-    session_.num_devices_ = count;
-    session_.device_capacity_bytes_ = capacity_bytes;
     return *this;
   }
 

@@ -79,27 +79,10 @@ PauliBackend parse_pauli_backend(std::string_view name) {
 
 PicassoResult solve_pauli(const pauli::PauliSet& set,
                           const PicassoParams& params) {
-  // The encoded input is the in-memory driver's resident floor; charge it
-  // before the run scope rebases the peaks so it is part of the baseline.
-  util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
-                                  set.logical_bytes());
-  switch (resolve_backend(params.pauli_backend)) {
-    case PauliBackend::Scalar: {
-      const graph::ComplementOracle oracle(set);
-      return solve_oracle(oracle, params);
-    }
-    case PauliBackend::PackedScalar: {
-      // The packed view borrows the set's symplectic planes: no extra bytes.
-      const graph::PackedComplementOracle oracle(set.packed_view(),
-                                                 pauli::SimdLevel::Scalar);
-      return solve_oracle(oracle, params);
-    }
-    default: {
-      const graph::PackedComplementOracle oracle(set.packed_view(),
-                                                 pauli::SimdLevel::Auto);
-      return solve_oracle(oracle, params);
-    }
-  }
+  return with_pauli_oracle(set, params.pauli_backend,
+                           [&params](const auto& oracle) {
+                             return solve_oracle(oracle, params);
+                           });
 }
 
 // Pin the common instantiations into this translation unit.

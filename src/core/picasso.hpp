@@ -75,8 +75,8 @@ struct PicassoParams {
   /// Anticommutation backend for the Pauli drivers (in-memory and streaming).
   /// All settings yield bit-identical colorings; see PauliBackend.
   PauliBackend pauli_backend = PauliBackend::Auto;
-  /// Parallel execution runtime for the conflict-graph build (and, in the
-  /// multi-device driver, the concurrent shard builds). Defaults to one
+  /// Parallel execution runtime for the conflict-graph build and the fused
+  /// engines' bucket scans. Defaults to one
   /// worker per hardware thread with deterministic merging, so results are
   /// bit-identical to `runtime.num_threads = 1`.
   runtime::RuntimeConfig runtime;
@@ -86,9 +86,9 @@ struct PicassoParams {
   device::DeviceContext* device = nullptr;
   /// Hard cap on tracked resident bytes for the whole run (0 = unlimited).
   /// The oracle driver reports against it (MemoryReport::within_budget);
-  /// the budgeted streaming driver (core/streaming.hpp) additionally sizes
-  /// its chunk cache under it and spills the Pauli input to disk, re-reading
-  /// chunks on demand, so the cap actually binds.
+  /// the budgeted fused driver (solve_pauli_budgeted_fused) additionally
+  /// spills the Pauli input to disk when it takes more than half the cap
+  /// and sizes its chunk cache under it, re-reading chunks on demand.
   std::size_t memory_budget_bytes = 0;
   /// Engages the probabilistic sketch tier in front of the exact conflict
   /// oracle where an engine supports it: the fused engines put OR-folded
@@ -105,15 +105,16 @@ struct PicassoParams {
   /// given params — never derived from live memory headroom.
   std::size_t sketch_words = 0;
   /// Cooperative cancellation: checked at iteration boundaries in every
-  /// driver and between chunk-pair scans in the chunked engine. A requested
+  /// driver and between bucket scans in the fused engines. A requested
   /// stop raises SolveCancelled; the default token never fires. See
   /// core/solve_control.hpp.
   StopToken stop;
-  /// Per-iteration (and, in the chunked engine, per-chunk-pair) progress
-  /// callback, invoked from the solving thread. Empty = no reporting.
+  /// Per-iteration (and, in the fused engines, per-bucket-scan-batch)
+  /// progress callback, invoked from the solving thread. Empty = no
+  /// reporting.
   ProgressFn progress;
   /// Phase-span recorder (obs/trace.hpp). When non-null every engine
-  /// records its nested phase/iteration/chunk-pair spans here; null (the
+  /// records its nested phase/iteration spans here; null (the
   /// default) costs one pointer test per scope. Session installs one for
   /// TelemetryLevel::Full.
   obs::TraceRecorder* trace = nullptr;
@@ -204,36 +205,32 @@ struct PicassoResult {
 template <graph::GraphOracle Oracle>
 PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params);
 
-/// Engine behind the Pauli entry point: picks the anticommutation oracle for
-/// params.pauli_backend and runs solve_oracle. Charges the encoded input to
-/// MemSubsystem::PauliInput for the duration of the run.
-PicassoResult solve_pauli(const pauli::PauliSet& set,
-                          const PicassoParams& params);
-
-// ---------------------------------------------------------------------------
-// Legacy free-function surface. These are thin [[deprecated]] shims kept so
-// existing callers keep compiling; new code goes through picasso::api::
-// Session (api/session.hpp), which plans in-memory / streamed / sharded
-// execution from one configuration and returns the plan alongside the
-// result. Each shim delegates to the Session pipeline (or directly to the
-// engine it wraps, for the template entry points) and is bit-identical to
-// its pre-deprecation behavior — the differential suite pins this.
-
-template <graph::GraphOracle Oracle>
-[[deprecated("use picasso::api::Session with Problem::oracle() instead")]]
-PicassoResult picasso_color(const Oracle& oracle, const PicassoParams& params) {
-  return solve_oracle(oracle, params);
+/// Calls `fn(oracle)` with the anticommutation oracle `backend` selects for
+/// `set` and returns its result. The encoded input is charged to
+/// MemSubsystem::PauliInput for the call — the Pauli engines' resident
+/// floor, charged before the engine's run scope rebases the peaks. The
+/// packed views borrow the set's symplectic planes: no extra bytes.
+template <typename Fn>
+PicassoResult with_pauli_oracle(const pauli::PauliSet& set,
+                                PauliBackend backend, Fn&& fn) {
+  util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
+                                  set.logical_bytes());
+  switch (resolve_backend(backend)) {
+    case PauliBackend::Scalar:
+      return fn(graph::ComplementOracle(set));
+    case PauliBackend::PackedScalar:
+      return fn(graph::PackedComplementOracle(set.packed_view(),
+                                              pauli::SimdLevel::Scalar));
+    default:
+      return fn(graph::PackedComplementOracle(set.packed_view(),
+                                              pauli::SimdLevel::Auto));
+  }
 }
 
-[[deprecated("use picasso::api::Session with Problem::pauli() instead")]]
-PicassoResult picasso_color_pauli(const pauli::PauliSet& set,
-                                  const PicassoParams& params);
-[[deprecated("use picasso::api::Session with Problem::csr() instead")]]
-PicassoResult picasso_color_csr(const graph::CsrGraph& g,
-                                const PicassoParams& params);
-[[deprecated("use picasso::api::Session with Problem::dense() instead")]]
-PicassoResult picasso_color_dense(const graph::DenseGraph& g,
-                                  const PicassoParams& params);
+/// Engine behind the Pauli entry point: solve_oracle over the oracle of
+/// with_pauli_oracle (input charged to MemSubsystem::PauliInput).
+PicassoResult solve_pauli(const pauli::PauliSet& set,
+                          const PicassoParams& params);
 
 // ---------------------------------------------------------------------------
 // Implementation.

@@ -1,18 +1,19 @@
 #pragma once
 // Cooperative execution control for the staged solve pipeline.
 //
-// Every Picasso driver — the oracle driver, the semi-streaming driver, the
-// chunked budgeted engine and the multi-device engine — runs as a sequence
-// of iteration-sized stages. The session front-end (api/session.hpp) hands
-// the drivers two optional hooks through PicassoParams:
+// Every Picasso driver — the oracle driver, the semi-streaming driver and
+// the fused engines (in memory and streamed) — runs as a sequence of
+// iteration-sized stages. The session front-end (api/session.hpp) hands the
+// drivers two optional hooks through PicassoParams:
 //
-//   * a StopToken, checked at iteration boundaries (and, in the chunked
-//     engine, between chunk-pair scans). A requested stop raises
+//   * a StopToken, checked at iteration boundaries (and, in the fused
+//     engines, between batches of bucket scans). A requested stop raises
 //     SolveCancelled from the next checkpoint; RAII unwinds every charge
 //     and the budgeted driver removes its spill file on the way out, so a
 //     cancelled solve leaves no state behind.
 //   * a ProgressFn, invoked after each completed iteration (and after each
-//     chunk-pair scan in the chunked engine) with a ProgressEvent snapshot.
+//     batch of bucket scans in the fused engines) with a ProgressEvent
+//     snapshot.
 //
 // Both hooks default to inert: a default-constructed StopToken can never
 // request a stop and costs one pointer test per checkpoint, so drivers run
@@ -96,16 +97,16 @@ class StopSource {
   std::shared_ptr<std::atomic<bool>> state_;
 };
 
-/// What just finished when a ProgressEvent fires.
+/// What just finished when a ProgressEvent fires. The numeric values are
+/// pinned: service::ProgressMsg::stage carries them on the wire (1 was a
+/// retired chunk-pair stage and stays unused).
 enum class ProgressStage {
-  IterationDone,     // one Algorithm-1 iteration completed (all drivers)
-  ChunkPairScanned,  // one chunk-pair scan completed (chunked engine only)
-  BucketScanned,     // a batch of fused bucket scans completed (fused engine)
-  VertexInserted,    // a batch of incremental insertions completed (updates)
+  IterationDone = 0,   // one Algorithm-1 iteration completed (all drivers)
+  BucketScanned = 2,   // a batch of fused bucket scans completed (fused engine)
+  VertexInserted = 3,  // a batch of incremental insertions completed (updates)
 };
 
-/// Snapshot handed to the progress callback. Iteration-scoped fields are
-/// zero for ChunkPairScanned events fired mid-iteration.
+/// Snapshot handed to the progress callback.
 struct ProgressEvent {
   ProgressStage stage = ProgressStage::IterationDone;
   int iteration = 0;                 // 0-based iteration index
@@ -113,10 +114,8 @@ struct ProgressEvent {
   std::uint32_t colored = 0;         // vertices colored by this iteration
   std::uint32_t uncolored = 0;       // carried to the next iteration
   /// Conflict edges of this iteration. Per-strategy meaning:
-  ///  * materializing engines (in-memory, semi-streaming, chunked,
-  ///    multi-device): exact |Ec| of the built conflict CSR, reported on
-  ///    IterationDone (and the running emission count mid-iteration on
-  ///    ChunkPairScanned events from the chunked engine);
+  ///  * materializing engines (in-memory, semi-streaming): exact |Ec| of the
+  ///    built conflict CSR, reported on IterationDone;
   ///  * fused static schemes: exact |Ec| (every pair enumerated at u < v);
   ///  * fused dynamic schemes: the running strike-hit count — conflict
   ///    edges actually struck so far. Scans stop at each vertex's first
@@ -124,9 +123,6 @@ struct ProgressEvent {
   ///    monotonically across the iteration's BucketScanned events and
   ///    lands on the iteration's total at IterationDone.
   std::uint64_t conflict_edges = 0;
-  // ChunkPairScanned extras (chunked engine).
-  std::size_t chunk_pair = 0;        // ordinal of the finished pair scan
-  std::size_t chunk_pairs_total = 0; // pairs this iteration will scan
   // BucketScanned extras (fused engine): strike scans completed so far this
   // iteration — at most n_active, shrinking work as the frontier empties.
   std::size_t bucket_scans = 0;
@@ -144,7 +140,7 @@ inline void throw_if_stopped(const StopToken& stop) {
 }
 
 /// Shared IterationDone emission for every driver — the event layout lives
-/// in one place so the four drivers cannot drift apart.
+/// in one place so the drivers cannot drift apart.
 inline void report_iteration(const ProgressFn& progress, int iteration,
                              std::uint32_t n_active, std::uint32_t colored,
                              std::uint32_t uncolored,

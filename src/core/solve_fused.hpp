@@ -61,8 +61,8 @@ namespace picasso::core {
 /// draws P colors and lists of L, so each bucket holds ~nL/P vertices in
 /// expectation and the indexed scan examines ~n^2 L^2 / (2P) pairs; on the
 /// paper's ~50%-dense complement graphs about half of them survive as
-/// conflict edges. api::Session::plan() compares this projection against
-/// the memory budget to auto-select the fused engine.
+/// conflict edges. The service's admission control charges materializing
+/// plans this projection.
 std::size_t projected_conflict_csr_bytes(std::uint32_t n,
                                          double palette_percent, double alpha);
 
@@ -702,21 +702,22 @@ PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
 PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
                                 const PicassoParams& params);
 
-/// Streaming twin of solve_pauli_chunked: the spilled set is still read
-/// back chunk-wise through the budget-admission LRU caches, but bucket
-/// strike scans replace the chunk-pair COO/CSR assembly — candidates are
-/// grouped by owning chunk (active ids are ascending, so groups are
-/// contiguous runs) and answered against the pinned chunk records, so
-/// budgeted solves skip CSR assembly too. Under very tight budgets this
-/// trades the materialized engine's k^2/2 ordered chunk scans for
-/// demand-driven chunk loads (the LRU absorbs the locality that exists);
-/// the coloring stays bit-identical throughout.
+/// Streaming fused engine: the spilled set behind `reader` is read back
+/// chunk-wise through the budget-admission LRU caches, and bucket strike
+/// scans test candidates grouped by owning chunk (active ids are
+/// ascending, so groups are contiguous runs) against the pinned chunk
+/// records. Chunks load on demand; the LRU absorbs the locality the strike
+/// pattern has. The coloring is bit-identical to the in-memory engines.
 PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
                                         const PicassoParams& params);
 
-/// Budgeted wrapper around the fused chunked engine — same spill lifecycle
-/// as solve_pauli_budgeted (falls back to the in-memory fused engine when
-/// nothing forces streaming).
+/// Memory-budgeted Pauli solve. When spill_required() says so, the set is
+/// spilled to a unique file under options.spill_dir, chunked by
+/// spill_chunk_strings() and colored by solve_pauli_chunked_fused; the file
+/// is removed afterwards (and on unwind) unless options.keep_spill. A spill
+/// that fails with ENOSPC degrades to solve_pauli_fused and says so in
+/// PicassoResult::degraded_reason. Otherwise this is solve_pauli_fused. The
+/// coloring is the same either way.
 PicassoResult solve_pauli_budgeted_fused(const pauli::PauliSet& set,
                                          const PicassoParams& params,
                                          const StreamingOptions& options = {});

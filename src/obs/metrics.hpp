@@ -55,7 +55,8 @@ enum class Counter : unsigned {
   SpillBytesWritten,     // bytes spilled to .pset files
   SpillBytesRead,        // bytes read back from spill files
   StreamEdgesScanned,    // semi-streaming: edges seen across all passes
-  ShardEdgesRouted,      // multi-device: conflict edges routed through device shards
+  ShardEdgesRouted,      // retired with the multi-device driver; always 0,
+                         // kept so the JSON counter layout stays stable
   UpdateVerticesInserted,  // incremental: delta vertices colored in place
   UpdateBucketProbes,      // incremental: color buckets probed during insertion
   UpdateRecolorMoves,      // incremental: blockers moved by bounded local recoloring
@@ -124,8 +125,7 @@ class MetricsRegistry {
   CounterTotals totals() const;
 
   /// Run-scope nesting depth (see MetricsRunScope); kept on the registry
-  /// so nested solves (multi-device shards) cannot clobber the outermost
-  /// run's window.
+  /// so nested solves cannot clobber the outermost run's window.
   int enter_run() noexcept {
     return run_depth_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -155,8 +155,8 @@ inline void count(Counter c, std::uint64_t n = 1) { global_metrics().add(c, n); 
 
 /// Guard for one solve: the outermost scope resets the registry and
 /// enables/disables it per the requested level, restoring the previous
-/// enabled state on exit; nested scopes (per-shard multi-device solves,
-/// engines layered through Session) are no-ops so the outermost window
+/// enabled state on exit; nested scopes (engines layered through Session)
+/// are no-ops so the outermost window
 /// accumulates everything. Harvest totals() before the scope dies.
 class MetricsRunScope {
  public:

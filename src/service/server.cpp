@@ -20,6 +20,26 @@ namespace {
 /// plan that never materializes a conflict CSR.
 constexpr std::size_t kFusedBytesPerVertex = 64;
 
+/// Rejects a wire strategy value that names no live strategy. The gaps in
+/// api::ExecutionStrategy are retired strategies, named in the message so
+/// an old client learns what to send instead.
+void check_strategy(std::uint8_t value) {
+  switch (value) {
+    case 2:
+      throw std::invalid_argument(
+          "strategy value 2 (budgeted-streaming) is retired; send fused "
+          "(5) or auto (0) with a memory budget");
+    case 4:
+      throw std::invalid_argument(
+          "strategy value 4 (multi-device) is retired; send fused (5) or "
+          "auto (0)");
+  }
+  if (value > static_cast<std::uint8_t>(api::ExecutionStrategy::Sketch)) {
+    throw std::invalid_argument("unknown strategy value " +
+                                std::to_string(value));
+  }
+}
+
 bool materializes_csr(api::ExecutionStrategy strategy) {
   switch (strategy) {
     case api::ExecutionStrategy::Fused:
@@ -287,10 +307,19 @@ api::Session Server::session_for(const RemoteParams& params) const {
   p.max_iterations = params.max_iterations;
   p.pauli_backend = static_cast<core::PauliBackend>(params.backend);
   p.memory_budget_bytes = params.memory_budget_bytes;
+  auto strategy = static_cast<api::ExecutionStrategy>(params.strategy);
+  // An unbudgeted Auto request still runs the in-memory engine here: the
+  // perf/ serve-mixed workload keeps every answered miss's coloring
+  // resident, so its peak RSS grows with the miss rate the fused engine
+  // would raise. The switch to the fused engine waits until that workload
+  // stops retaining colorings. The coloring is the same either way.
+  if (strategy == api::ExecutionStrategy::Auto &&
+      params.memory_budget_bytes == 0) {
+    strategy = api::ExecutionStrategy::InMemory;
+  }
   auto builder = api::SessionBuilder()
                      .params(p)
-                     .strategy(static_cast<api::ExecutionStrategy>(
-                         params.strategy))
+                     .strategy(strategy)
                      .spill_dir(spill_dir_);
   if (pool_) {
     // Every tenant's solve runs on the one server pool.
@@ -344,11 +373,7 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
       throw std::invalid_argument("unknown backend value " +
                                   std::to_string(msg.params.backend));
     }
-    if (msg.params.strategy >
-        static_cast<std::uint8_t>(api::ExecutionStrategy::Sketch)) {
-      throw std::invalid_argument("unknown strategy value " +
-                                  std::to_string(msg.params.strategy));
-    }
+    check_strategy(msg.params.strategy);
     session = session_for(msg.params);
     plan = session.plan(api::Problem::pauli(msg.records));
   } catch (const std::exception& error) {

@@ -1,16 +1,10 @@
-// Differential pinning of the session front-end against the legacy
-// picasso_color_* surface: for equal parameters, Session::solve must
-// produce bit-identical colorings (and, where applicable, identical
-// telemetry and shard stats) to every deprecated free function it
-// replaces — in-memory, generic-oracle, semi-streaming, budgeted
-// streaming, chunked, and multi-device paths alike. This is the contract
-// that lets call sites migrate (and the shims eventually retire) without
-// any behavioral audit.
-
-// This suite intentionally exercises the deprecated entry points.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
+// Differential pinning of the session front-end against the materializing
+// reference engine: for equal parameters, what Auto plans (the fused
+// engine, in memory or streamed off a spill) must produce colorings
+// bit-identical to the in-memory oracle driver — for Pauli sets across
+// backends, explicit graphs, type-erased oracles, edge streams, tight
+// budgets, chunked readers and spill files alike. This is the contract
+// that lets Auto plan the fused engine for every such problem.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +12,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "core/multi_device.hpp"
 #include "core/streaming.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
@@ -55,51 +48,63 @@ pcore::PicassoParams test_params(std::uint64_t seed) {
   return params;
 }
 
+/// The materializing reference engine (Auto plans the fused engine).
+papi::Session in_memory(const pcore::PicassoParams& params) {
+  return papi::SessionBuilder()
+      .params(params)
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build();
+}
+
 }  // namespace
 
-TEST(ApiDifferential, PauliMatchesLegacyAcrossBackends) {
+TEST(ApiDifferential, PauliAutoMatchesInMemoryAcrossBackends) {
   const auto set = random_set(250, 14, 41);
   for (auto backend :
        {pcore::PauliBackend::Auto, pcore::PauliBackend::Scalar,
         pcore::PauliBackend::Packed, pcore::PauliBackend::PackedScalar}) {
     auto params = test_params(41);
     params.pauli_backend = backend;
-    const auto legacy = pcore::picasso_color_pauli(set, params);
+    const auto reference = pcore::solve_pauli(set, params);
     const auto session = papi::Session::from_params(params)
                              .solve(papi::Problem::pauli(set));
-    EXPECT_EQ(session.result.colors, legacy.colors)
+    EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::Fused);
+    EXPECT_EQ(session.result.colors, reference.colors)
         << pcore::to_string(backend);
-    EXPECT_EQ(session.result.num_colors, legacy.num_colors);
-    EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::InMemory);
+    EXPECT_EQ(session.result.num_colors, reference.num_colors);
+    const auto forced = in_memory(params).solve(papi::Problem::pauli(set));
+    EXPECT_EQ(forced.plan.strategy, papi::ExecutionStrategy::InMemory);
+    EXPECT_EQ(forced.result.colors, reference.colors);
   }
 }
 
-TEST(ApiDifferential, CsrAndDenseMatchLegacy) {
+TEST(ApiDifferential, CsrAndDenseAutoMatchInMemory) {
   const auto params = test_params(43);
   const auto csr = pg::erdos_renyi(300, 0.1, 43);
   EXPECT_EQ(papi::Session::from_params(params)
                 .solve(papi::Problem::csr(csr))
                 .result.colors,
-            pcore::picasso_color_csr(csr, params).colors);
+            in_memory(params).solve(papi::Problem::csr(csr)).result.colors);
 
   const auto dense = pg::erdos_renyi_dense(250, 0.5, 43);
   EXPECT_EQ(papi::Session::from_params(params)
                 .solve(papi::Problem::dense(dense))
                 .result.colors,
-            pcore::picasso_color_dense(dense, params).colors);
+            in_memory(params).solve(papi::Problem::dense(dense)).result.colors);
 }
 
-TEST(ApiDifferential, TypeErasedOracleMatchesLegacyTemplateDriver) {
+TEST(ApiDifferential, TypeErasedOracleMatchesTemplateDriver) {
   const auto set = random_set(180, 10, 47);
   const pg::ComplementOracle oracle(set);
   const auto params = test_params(47);
-  const auto legacy = pcore::picasso_color(oracle, params);
+  const auto reference = pcore::solve_oracle(oracle, params);
   const auto session = papi::Session::from_params(params)
                            .solve(papi::Problem::oracle(oracle));
-  EXPECT_EQ(session.result.colors, legacy.colors);
+  EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::Fused);
+  EXPECT_EQ(session.result.colors, reference.colors);
 }
 
-TEST(ApiDifferential, EdgeStreamMatchesLegacyStreamDriver) {
+TEST(ApiDifferential, EdgeStreamMatchesStreamDriver) {
   const auto g = pg::erdos_renyi(280, 0.08, 53);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   for (pg::VertexId u = 0; u < g.num_vertices(); ++u) {
@@ -109,83 +114,58 @@ TEST(ApiDifferential, EdgeStreamMatchesLegacyStreamDriver) {
   }
   const pcore::VectorEdgeStream stream(std::move(edges));
   const auto params = test_params(53);
-  const auto legacy =
-      pcore::picasso_color_stream(g.num_vertices(), stream, params);
+  const auto reference = pcore::solve_stream(g.num_vertices(), stream, params);
   const auto session =
       papi::Session::from_params(params)
           .solve(papi::Problem::edge_stream(g.num_vertices(), stream));
-  EXPECT_EQ(session.result.colors, legacy.colors);
+  EXPECT_EQ(session.result.colors, reference.colors);
   EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::SemiStreaming);
   // And both match the oracle driver on the same graph.
   EXPECT_EQ(session.result.colors,
-            papi::Session::from_params(params)
-                .solve(papi::Problem::csr(g))
-                .result.colors);
+            in_memory(params).solve(papi::Problem::csr(g)).result.colors);
 }
 
-TEST(ApiDifferential, BudgetedStreamingMatchesLegacyUnderRandomBudgets) {
+TEST(ApiDifferential, TightBudgetStreamsAndMatchesInMemory) {
   const auto set = random_set(350, 16, 59);
   for (std::uint64_t seed : {1u, 2u}) {
     auto params = test_params(seed);
-    // Budget tight enough that both paths actually stream.
+    // Budget below twice the encoded input: Auto spills and streams.
     params.memory_budget_bytes = set.logical_bytes();
     pcore::StreamingOptions options;
     options.chunk_strings = seed == 1 ? 0 : 64;  // derived and explicit
-    const auto legacy =
-        pcore::picasso_color_pauli_budgeted(set, params, options);
     const auto session = papi::SessionBuilder()
                              .params(params)
                              .streaming(options)
                              .build()
                              .solve(papi::Problem::pauli(set));
-    ASSERT_TRUE(legacy.memory.streamed);
-    // A budget this tight escalates Auto to the fused streaming engine
-    // (the projected conflict CSR would blow the cap); the legacy shim
-    // stays pinned to the materialized engine, and the two remain
-    // bit-identical with the same chunk derivation.
     EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::Fused);
     ASSERT_TRUE(session.result.memory.streamed);
-    EXPECT_EQ(session.result.colors, legacy.colors);
-    EXPECT_EQ(session.result.memory.num_chunks, legacy.memory.num_chunks);
-    // The in-memory driver agrees too (the repo-wide invariant).
+    EXPECT_EQ(session.result.memory.num_chunks,
+              (set.size() + session.plan.chunk_strings - 1) /
+                  session.plan.chunk_strings);
     EXPECT_EQ(session.result.colors,
-              papi::Session::from_params(test_params(seed))
+              in_memory(test_params(seed))
                   .solve(papi::Problem::pauli(set))
                   .result.colors);
   }
 }
 
-TEST(ApiDifferential, PauliShimNeverStreamsEvenUnderTightBudget) {
-  // Historically picasso_color_pauli treated the memory budget as
-  // telemetry only — it never spilled to disk. The shim must preserve
-  // that; streaming stays opt-in via picasso_color_pauli_budgeted.
+TEST(ApiDifferential, InMemoryNeverStreamsEvenUnderTightBudget) {
+  // The in-memory engine treats the memory budget as telemetry only — it
+  // never spills to disk, and the budget never alters the coloring.
   const auto set = random_set(200, 14, 79);
   auto params = test_params(79);
   params.memory_budget_bytes = 1 << 10;  // far below the encoded input
-  const auto legacy = pcore::picasso_color_pauli(set, params);
-  EXPECT_FALSE(legacy.memory.streamed);
-  EXPECT_EQ(legacy.memory.budget_bytes, std::size_t{1} << 10);
-  // Same colors as the unbudgeted run (budget never alters the coloring).
-  EXPECT_EQ(legacy.colors,
+  const auto forced = in_memory(params).solve(papi::Problem::pauli(set));
+  EXPECT_FALSE(forced.result.memory.streamed);
+  EXPECT_EQ(forced.result.memory.budget_bytes, std::size_t{1} << 10);
+  EXPECT_EQ(forced.result.colors,
             papi::Session::from_params(test_params(79))
                 .solve(papi::Problem::pauli(set))
                 .result.colors);
 }
 
-TEST(ApiDifferential, BudgetedFallbackToInMemoryMatchesLegacy) {
-  // No budget, no chunking: the legacy budgeted entry point falls back to
-  // the in-memory driver; Auto planning must do the same.
-  const auto set = random_set(120, 10, 61);
-  const auto params = test_params(61);
-  const auto legacy = pcore::picasso_color_pauli_budgeted(set, params);
-  const auto session =
-      papi::Session::from_params(params).solve(papi::Problem::pauli(set));
-  EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::InMemory);
-  EXPECT_FALSE(legacy.memory.streamed);
-  EXPECT_EQ(session.result.colors, legacy.colors);
-}
-
-TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchLegacy) {
+TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchInMemory) {
   const auto set = random_set(200, 12, 67);
   const auto dir = fs::temp_directory_path() / "picasso_api_diff";
   fs::create_directories(dir);
@@ -193,12 +173,13 @@ TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchLegacy) {
   pp::spill_pauli_set(set, spill);
 
   const auto params = test_params(67);
-  const pp::ChunkedPauliReader reader(spill, 48);
-  const auto legacy = pcore::picasso_color_pauli_chunked(reader, params);
+  const auto reference = in_memory(params).solve(papi::Problem::pauli(set));
 
+  const pp::ChunkedPauliReader reader(spill, 48);
   const auto via_reader = papi::Session::from_params(params)
                               .solve(papi::Problem::spill_reader(reader));
-  EXPECT_EQ(via_reader.result.colors, legacy.colors);
+  EXPECT_EQ(via_reader.plan.strategy, papi::ExecutionStrategy::Fused);
+  EXPECT_EQ(via_reader.result.colors, reference.result.colors);
 
   pcore::StreamingOptions options;
   options.chunk_strings = 48;
@@ -207,51 +188,8 @@ TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchLegacy) {
                             .streaming(options)
                             .build()
                             .solve(papi::Problem::pauli_spill(spill));
-  EXPECT_EQ(via_file.result.colors, legacy.colors);
+  EXPECT_EQ(via_file.result.colors, reference.result.colors);
   EXPECT_EQ(via_file.plan.chunk_strings, 48u);
 
   fs::remove_all(dir);
-}
-
-TEST(ApiDifferential, MultiDeviceMatchesLegacyShardsAndColoring) {
-  const auto g = pg::erdos_renyi_dense(220, 0.5, 71);
-  const pg::DenseOracle oracle(g);
-  const auto params = test_params(71);
-  pcore::MultiDeviceConfig config;
-  config.num_devices = 4;
-  config.device_capacity_bytes = 64u << 20;
-  const auto legacy = pcore::picasso_color_multi_device(oracle, params, config);
-
-  const auto session = papi::SessionBuilder()
-                           .params(params)
-                           .devices(4, 64u << 20)
-                           .build()
-                           .solve(papi::Problem::dense(g));
-  EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::MultiDevice);
-  EXPECT_EQ(session.result.colors, legacy.coloring.colors);
-  ASSERT_EQ(session.devices.size(), legacy.devices.size());
-  for (std::size_t d = 0; d < session.devices.size(); ++d) {
-    EXPECT_EQ(session.devices[d].edges, legacy.devices[d].edges) << d;
-    EXPECT_EQ(session.devices[d].peak_bytes, legacy.devices[d].peak_bytes)
-        << d;
-  }
-  EXPECT_EQ(session.total_shard_edges(), legacy.total_edges());
-}
-
-TEST(ApiDifferential, PauliMultiDeviceMatchesLegacyOracleChoice) {
-  // The Pauli multi-device path picks its oracle from the backend exactly
-  // like solve_pauli; pin it against the legacy call with that oracle.
-  const auto set = random_set(160, 12, 73);
-  const auto params = test_params(73);
-  pcore::MultiDeviceConfig config;
-  config.num_devices = 2;
-  config.device_capacity_bytes = 64u << 20;
-  const pg::PackedComplementOracle oracle(set.packed_view());
-  const auto legacy = pcore::picasso_color_multi_device(oracle, params, config);
-  const auto session = papi::SessionBuilder()
-                           .params(params)
-                           .devices(2, 64u << 20)
-                           .build()
-                           .solve(papi::Problem::pauli(set));
-  EXPECT_EQ(session.result.colors, legacy.coloring.colors);
 }

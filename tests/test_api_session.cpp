@@ -1,6 +1,6 @@
 // The public session front-end: builder validation (structured ApiErrors),
-// plan selection (budget forces streaming, a device list forces sharding,
-// spill/stream problems pick their pipelines), cooperative cancellation
+// plan selection (Auto plans fused, a budget forces streaming, a device
+// keeps the in-memory engine, spill/stream problems pick their pipelines), cooperative cancellation
 // (including the no-spill-left-behind guarantee), progress reporting,
 // async solves, problem factories, and parse_pauli_backend.
 
@@ -14,6 +14,7 @@
 #include "api/session.hpp"
 #include "api/version.hpp"
 #include "coloring/verify.hpp"
+#include "device/device_context.hpp"
 #include "graph/graph_gen.hpp"
 #include "pauli/pauli_stream.hpp"
 #include "util/rng.hpp"
@@ -38,6 +39,13 @@ pp::PauliSet random_set(std::size_t count, std::size_t qubits,
     strings.push_back(s);
   }
   return pp::PauliSet(strings);
+}
+
+/// The materializing reference engine (Auto plans the fused engine).
+papi::Session in_memory() {
+  return papi::SessionBuilder()
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build();
 }
 
 /// Expects fn() to throw ApiError with the given code and field.
@@ -70,111 +78,51 @@ TEST(SessionBuilder, RejectsNonPositiveIterations) {
                    papi::ErrorCode::InvalidArgument, "max_iterations");
 }
 
-TEST(SessionBuilder, RejectsZeroCapacityDevices) {
-  expect_api_error([&] { papi::SessionBuilder().devices(2, 0).build(); },
-                   papi::ErrorCode::InvalidArgument, "devices");
-}
-
-TEST(SessionBuilder, RejectsMultiDeviceStrategyWithoutDevices) {
-  expect_api_error(
-      [&] {
-        papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::MultiDevice)
-            .build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "strategy");
-}
-
-TEST(SessionBuilder, RejectsStreamingStrategyWithoutBudgetOrChunks) {
-  expect_api_error(
-      [&] {
-        papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::BudgetedStreaming)
-            .build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "strategy");
-  // Either a budget or an explicit chunk size satisfies it.
-  EXPECT_NO_THROW(papi::SessionBuilder()
-                      .strategy(papi::ExecutionStrategy::BudgetedStreaming)
-                      .memory_budget(1 << 20)
-                      .build());
-  pcore::StreamingOptions options;
-  options.chunk_strings = 64;
-  EXPECT_NO_THROW(papi::SessionBuilder()
-                      .strategy(papi::ExecutionStrategy::BudgetedStreaming)
-                      .streaming(options)
-                      .build());
-}
-
-TEST(SessionBuilder, RejectsDeviceAndDevicesTogether) {
-  picasso::device::DeviceContext ctx(64u << 20);
-  expect_api_error(
-      [&] {
-        papi::SessionBuilder().device(&ctx).devices(2, 64u << 20).build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "devices");
-}
-
 // --- Plan selection ----------------------------------------------------------
 
-TEST(SessionPlan, DefaultsToInMemory) {
+TEST(SessionPlan, DefaultsToFused) {
   const auto g = pg::erdos_renyi_dense(60, 0.4, 1);
   const auto plan = papi::Session().plan(papi::Problem::dense(g));
-  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::InMemory);
-  EXPECT_EQ(plan.num_devices, 0u);
+  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::Fused);
+  EXPECT_EQ(plan.chunk_strings, 0u);
 }
 
 TEST(SessionPlan, TightBudgetForcesStreamingForPauli) {
   const auto set = random_set(300, 16, 3);
   const auto problem = papi::Problem::pauli(set);
-  // Budget below twice the encoded bytes => spill; and since the projected
-  // conflict CSR would blow a budget this small too, Auto escalates to the
-  // fused streaming engine. Chunk size still derived.
+  // Budget below twice the encoded bytes => the fused engine spills and
+  // streams; the chunk size is derived from the budget.
   const auto tight = papi::SessionBuilder()
                          .memory_budget(set.logical_bytes())
                          .build()
                          .plan(problem);
-  ASSERT_GT(pcore::projected_conflict_csr_bytes(
-                static_cast<std::uint32_t>(set.size()), 12.5, 2.0),
-            set.logical_bytes());
   EXPECT_EQ(tight.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_GT(tight.chunk_strings, 0u);
   EXPECT_LE(tight.chunk_strings, set.size());
+  EXPECT_EQ(tight.chunk_strings,
+            pcore::spill_chunk_strings(0, set.logical_bytes(),
+                                       set.logical_bytes() / set.size(),
+                                       set.size()));
 
-  // Tight for the input but roomy for the conflict CSR (few long strings):
-  // the materialized streaming engine keeps its I/O-optimal chunk-pair
-  // scans.
-  const auto wide_set = random_set(60, 2000, 3);
-  const std::size_t wide_budget = 100 << 10;
-  ASSERT_GT(2 * wide_set.logical_bytes(), wide_budget);
-  ASSERT_LE(pcore::projected_conflict_csr_bytes(
-                static_cast<std::uint32_t>(wide_set.size()), 12.5, 2.0),
-            wide_budget);
-  const auto spilled = papi::SessionBuilder()
-                           .memory_budget(wide_budget)
-                           .build()
-                           .plan(papi::Problem::pauli(wide_set));
-  EXPECT_EQ(spilled.strategy, papi::ExecutionStrategy::BudgetedStreaming);
-  EXPECT_GT(spilled.chunk_strings, 0u);
+  // A budget at least twice the input keeps the fused engine in memory.
+  for (const std::size_t budget :
+       {2 * set.logical_bytes(), std::size_t{1} << 30}) {
+    const auto roomy =
+        papi::SessionBuilder().memory_budget(budget).build().plan(problem);
+    EXPECT_EQ(roomy.strategy, papi::ExecutionStrategy::Fused);
+    EXPECT_EQ(roomy.chunk_strings, 0u);  // nothing spills
+  }
+}
 
-  // A budget roomy for the input but below the projected conflict-CSR
-  // assembly plans the edge-free fused engine instead of materialising.
-  const auto mid = papi::SessionBuilder()
-                       .memory_budget(16 * set.logical_bytes())
-                       .build()
-                       .plan(problem);
-  ASSERT_GT(pcore::projected_conflict_csr_bytes(
-                static_cast<std::uint32_t>(set.size()), 12.5, 2.0),
-            16 * set.logical_bytes());
-  EXPECT_EQ(mid.strategy, papi::ExecutionStrategy::Fused);
-  EXPECT_EQ(mid.chunk_strings, 0u);  // in-memory fused: nothing spills
-
-  // A budget above both gates keeps it fully in memory.
-  const auto roomy = papi::SessionBuilder()
-                         .memory_budget(std::size_t{1} << 30)
-                         .build()
-                         .plan(problem);
-  EXPECT_EQ(roomy.strategy, papi::ExecutionStrategy::InMemory);
+TEST(SessionPlan, ConfiguredDevicePlansInMemory) {
+  // Algorithm 3 (the simulated device) runs only in the in-memory engine.
+  picasso::device::DeviceContext ctx(64u << 20);
+  pcore::PicassoParams params;
+  params.device = &ctx;
+  const auto g = pg::erdos_renyi_dense(80, 0.3, 7);
+  const auto plan =
+      papi::Session::from_params(params).plan(papi::Problem::dense(g));
+  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::InMemory);
 }
 
 TEST(SessionPlan, ExplicitChunkSizeForcesStreaming) {
@@ -185,18 +133,8 @@ TEST(SessionPlan, ExplicitChunkSizeForcesStreaming) {
                         .streaming(options)
                         .build()
                         .plan(papi::Problem::pauli(set));
-  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::BudgetedStreaming);
+  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(plan.chunk_strings, 25u);
-}
-
-TEST(SessionPlan, DeviceListForcesSharding) {
-  const auto g = pg::erdos_renyi_dense(80, 0.3, 7);
-  const auto plan = papi::SessionBuilder()
-                        .devices(4, 64u << 20)
-                        .build()
-                        .plan(papi::Problem::dense(g));
-  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::MultiDevice);
-  EXPECT_EQ(plan.num_devices, 4u);
 }
 
 TEST(SessionPlan, ProblemKindPicksItsPipeline) {
@@ -207,12 +145,13 @@ TEST(SessionPlan, ProblemKindPicksItsPipeline) {
   pp::spill_pauli_set(set, spill);
 
   const papi::Session session;
-  EXPECT_EQ(session.plan(papi::Problem::pauli_spill(spill)).strategy,
-            papi::ExecutionStrategy::BudgetedStreaming);
+  const auto spill_plan = session.plan(papi::Problem::pauli_spill(spill));
+  EXPECT_EQ(spill_plan.strategy, papi::ExecutionStrategy::Fused);
+  EXPECT_EQ(spill_plan.chunk_strings, set.size());  // no budget: one chunk
 
   const pp::ChunkedPauliReader reader(spill, 16);
   const auto reader_plan = session.plan(papi::Problem::spill_reader(reader));
-  EXPECT_EQ(reader_plan.strategy, papi::ExecutionStrategy::BudgetedStreaming);
+  EXPECT_EQ(reader_plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(reader_plan.chunk_strings, 16u);  // the reader's chunking wins
 
   const pcore::VectorEdgeStream stream({{0, 1}, {1, 2}});
@@ -233,13 +172,13 @@ TEST(SessionPlan, ForcedStrategyMismatchThrows) {
             .plan(problem);
       },
       papi::ErrorCode::IncompatibleStrategy, "strategy");
+  const pcore::VectorEdgeStream stream({{0, 1}, {1, 2}});
   expect_api_error(
       [&] {
         papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::BudgetedStreaming)
-            .memory_budget(1 << 20)
+            .strategy(papi::ExecutionStrategy::InMemory)
             .build()
-            .plan(problem);
+            .plan(papi::Problem::edge_stream(3, stream));
       },
       papi::ErrorCode::IncompatibleStrategy, "strategy");
 }
@@ -252,7 +191,7 @@ TEST(SessionPlan, ReportCarriesTheExecutedPlan) {
                           .streaming(options)
                           .build()
                           .solve(papi::Problem::pauli(set));
-  EXPECT_EQ(report.plan.strategy, papi::ExecutionStrategy::BudgetedStreaming);
+  EXPECT_EQ(report.plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(report.plan.chunk_strings, 50u);
   EXPECT_TRUE(report.result.memory.streamed);
   EXPECT_FALSE(report.plan.summary().empty());
@@ -309,20 +248,20 @@ TEST(SessionCancel, MidSolveCancellationStopsAtIterationBoundary) {
 }
 
 TEST(SessionCancel, CancelledStreamingSolveLeavesNoSpillFiles) {
-  const auto set = random_set(400, 16, 27);
+  const auto set = random_set(1200, 16, 27);
   const auto dir = fs::temp_directory_path() / "picasso_api_cancel_spill";
   fs::remove_all(dir);
 
   pcore::StreamingOptions streaming;
-  streaming.chunk_strings = 50;  // 8 chunks => 36 pair scans per iteration
+  streaming.chunk_strings = 150;  // 8 chunks
   streaming.spill_dir = dir.string();
 
   pcore::StopSource stop;
   papi::SolveOptions options;
   options.stop = stop.token();
   options.progress = [&](const pcore::ProgressEvent& e) {
-    // Cancel from deep inside the first conflict build.
-    if (e.stage == pcore::ProgressStage::ChunkPairScanned) stop.request_stop();
+    // Cancel from deep inside the first iteration's bucket scans.
+    if (e.stage == pcore::ProgressStage::BucketScanned) stop.request_stop();
   };
 
   const auto session = papi::SessionBuilder().streaming(streaming).build();
@@ -440,7 +379,7 @@ TEST(Problem, OwningFactoryKeepsThePayloadAlive) {
 
 TEST(SessionFused, ForcedFusedMatchesInMemoryAndSkipsTheCsr) {
   const auto set = random_set(250, 18, 41);
-  const auto ref = papi::Session().solve(papi::Problem::pauli(set));
+  const auto ref = in_memory().solve(papi::Problem::pauli(set));
   const auto fused = papi::SessionBuilder()
                          .strategy(papi::ExecutionStrategy::Fused)
                          .build()
@@ -469,7 +408,7 @@ TEST(SessionFused, BudgetBelowTwiceTheInputStreamsTheFusedSolve) {
                 picasso::util::MemSubsystem::ConflictCsr)],
             0u);
   EXPECT_EQ(report.result.colors,
-            papi::Session().solve(papi::Problem::pauli(set)).result.colors);
+            in_memory().solve(papi::Problem::pauli(set)).result.colors);
 }
 
 TEST(SessionFused, TightBudgetEscalatesSpillBackedProblemsToFused) {
@@ -479,8 +418,8 @@ TEST(SessionFused, TightBudgetEscalatesSpillBackedProblemsToFused) {
   const auto spill = (dir / "escalate.pset").string();
   pp::spill_pauli_set(set, spill);
 
-  // Budget below the projected conflict CSR: Auto must not plan an engine
-  // that materializes it.
+  // Spill-backed input plans the fused streaming engine, which never
+  // materializes the conflict CSR; the budget sizes its chunks.
   const auto session =
       papi::SessionBuilder().memory_budget(16 << 10).build();
   const auto plan = session.plan(papi::Problem::pauli_spill(spill));
@@ -496,7 +435,7 @@ TEST(SessionFused, TightBudgetEscalatesSpillBackedProblemsToFused) {
                 picasso::util::MemSubsystem::ConflictCsr)],
             0u);
   EXPECT_EQ(report.result.colors,
-            papi::Session().solve(papi::Problem::pauli(set)).result.colors);
+            in_memory().solve(papi::Problem::pauli(set)).result.colors);
   fs::remove_all(dir);
 }
 
@@ -511,14 +450,17 @@ TEST(SessionFused, RejectsEdgeStreamProblems) {
 }
 
 TEST(SessionFused, RejectsDeviceConfigurations) {
-  expect_api_error(
-      [] {
-        papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::Fused)
-            .devices(2, 1 << 20)
-            .build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "strategy");
+  picasso::device::DeviceContext ctx(1 << 20);
+  pcore::PicassoParams params;
+  params.device = &ctx;
+  for (auto strategy :
+       {papi::ExecutionStrategy::Fused, papi::ExecutionStrategy::Sketch}) {
+    expect_api_error(
+        [&] {
+          papi::SessionBuilder().params(params).strategy(strategy).build();
+        },
+        papi::ErrorCode::InvalidConfiguration, "strategy");
+  }
 }
 
 TEST(SessionFused, BucketProgressEventsFireAndComposeWithIterations) {
@@ -568,15 +510,30 @@ TEST(SessionFused, MidSolveCancellationStopsAtBucketBoundary) {
 TEST(ParseStrategy, RoundTripsEveryStrategyAndAcceptsShorthands) {
   for (auto strategy :
        {papi::ExecutionStrategy::Auto, papi::ExecutionStrategy::InMemory,
-        papi::ExecutionStrategy::BudgetedStreaming,
-        papi::ExecutionStrategy::SemiStreaming,
-        papi::ExecutionStrategy::MultiDevice, papi::ExecutionStrategy::Fused}) {
+        papi::ExecutionStrategy::SemiStreaming, papi::ExecutionStrategy::Fused,
+        papi::ExecutionStrategy::Sketch}) {
     EXPECT_EQ(papi::parse_strategy(papi::to_string(strategy)), strategy);
   }
   EXPECT_EQ(papi::parse_strategy("inmemory"),
             papi::ExecutionStrategy::InMemory);
-  EXPECT_EQ(papi::parse_strategy("streaming"),
-            papi::ExecutionStrategy::BudgetedStreaming);
+  // The retired spellings are unknown names now.
+  for (const char* retired :
+       {"budgeted-streaming", "streaming", "multi-device"}) {
+    EXPECT_THROW(papi::parse_strategy(retired), std::invalid_argument)
+        << retired;
+  }
+}
+
+TEST(ParseStrategy, WireValuesArePinned) {
+  // service::RemoteParams::strategy sends these numbers.
+  EXPECT_EQ(static_cast<int>(papi::ExecutionStrategy::Auto), 0);
+  EXPECT_EQ(static_cast<int>(papi::ExecutionStrategy::InMemory), 1);
+  EXPECT_EQ(static_cast<int>(papi::ExecutionStrategy::SemiStreaming), 3);
+  EXPECT_EQ(static_cast<int>(papi::ExecutionStrategy::Fused), 5);
+  EXPECT_EQ(static_cast<int>(papi::ExecutionStrategy::Sketch), 6);
+  EXPECT_EQ(static_cast<int>(pcore::ProgressStage::IterationDone), 0);
+  EXPECT_EQ(static_cast<int>(pcore::ProgressStage::BucketScanned), 2);
+  EXPECT_EQ(static_cast<int>(pcore::ProgressStage::VertexInserted), 3);
 }
 
 TEST(ParseStrategy, RejectsUnknownNamesWithTheValidList) {
@@ -587,7 +544,7 @@ TEST(ParseStrategy, RejectsUnknownNamesWithTheValidList) {
     const std::string message = e.what();
     EXPECT_NE(message.find("warp-drive"), std::string::npos);
     EXPECT_NE(message.find("fused"), std::string::npos);
-    EXPECT_NE(message.find("budgeted-streaming"), std::string::npos);
+    EXPECT_NE(message.find("semi-streaming"), std::string::npos);
   }
 }
 

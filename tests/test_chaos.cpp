@@ -19,8 +19,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -186,13 +188,16 @@ TEST_F(ChaosTest, EnospcSpillFallsBackToInMemoryBitIdentical) {
   const fs::path spill_dir = root_ / "spill";
   fs::create_directories(spill_dir);
 
-  const auto reference = papi::SessionBuilder().seed(7).build().solve(
-      papi::Problem::pauli(set));
+  const auto reference = papi::SessionBuilder()
+                             .seed(7)
+                             .strategy(papi::ExecutionStrategy::InMemory)
+                             .build()
+                             .solve(papi::Problem::pauli(set));
 
   auto budgeted_session = [&] {
     return papi::SessionBuilder()
         .seed(7)
-        .strategy(papi::ExecutionStrategy::BudgetedStreaming)
+        .strategy(papi::ExecutionStrategy::Fused)
         .memory_budget(set.logical_bytes())
         .spill_dir(spill_dir.string())
         .build();
@@ -303,13 +308,16 @@ TEST_F(ChaosTest, DelayFailpointOnlyDelays) {
   const fs::path spill_dir = root_ / "spill";
   fs::create_directories(spill_dir);
 
-  const auto reference = papi::SessionBuilder().seed(3).build().solve(
-      papi::Problem::pauli(set));
+  const auto reference = papi::SessionBuilder()
+                             .seed(3)
+                             .strategy(papi::ExecutionStrategy::InMemory)
+                             .build()
+                             .solve(papi::Problem::pauli(set));
 
   pfp::arm("spill.read", {pfp::Mode::Delay, 5, 3});
   const auto delayed = papi::SessionBuilder()
                            .seed(3)
-                           .strategy(papi::ExecutionStrategy::BudgetedStreaming)
+                           .strategy(papi::ExecutionStrategy::Fused)
                            .memory_budget(set.logical_bytes())
                            .spill_dir(spill_dir.string())
                            .build()
@@ -423,6 +431,9 @@ TEST_F(ChaosServiceTest, DeadlineExceededMidSolveIsStructured) {
   params.palette_percent = 0.5;  // slow convergence: many iterations
   params.alpha = 1.05;
   params.deadline_ms = 50;
+  // The materializing engine: at this size it runs well past the deadline
+  // (the fused engine can finish inside it).
+  params.strategy = static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
 
   auto client = psvc::Client::connect(server_.address());
   const psvc::RemoteResult outcome = client.solve(set, params);
@@ -439,27 +450,24 @@ TEST_F(ChaosServiceTest, DeadlineExceededMidSolveIsStructured) {
 }
 
 TEST_F(ChaosServiceTest, DeadlineSpentInQueueAnswersWithoutSolving) {
+  // Occupy the only slot, then queue a request whose deadline expires
+  // while it waits. session_for copies base_params.progress into requests
+  // that neither ask for progress nor carry a deadline, so this hook holds
+  // the blocker's solve (2000 strings) on the solver thread until released.
+  std::mutex hook_mu;
+  std::condition_variable hook_cv;
+  bool release = false;
+  config_.base_params.progress = [&](const picasso::core::ProgressEvent& e) {
+    if (e.n_active != 2000) return;
+    std::unique_lock<std::mutex> lock(hook_mu);
+    hook_cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
+  };
   config_.max_active_solves = 1;
   start_server();
 
-  // Occupy the only slot with a long solve, then queue a request whose
-  // deadline expires while it waits.
-  const pp::PauliSet blocker_set = random_set(2000, 24, 22);
-  psvc::RemoteParams blocker_params;
-  blocker_params.want_progress = true;
-  blocker_params.max_iterations = 5000;
-  blocker_params.palette_percent = 0.5;
-  blocker_params.alpha = 1.05;
-
-  std::atomic<bool> release{false};
   auto blocker_client = psvc::Client::connect(server_.address());
   std::thread blocker([&] {
-    blocker_client.solve(blocker_set, blocker_params, "a", 0,
-                         [&](const psvc::ProgressMsg&) {
-                           if (release.load(std::memory_order_acquire)) {
-                             blocker_client.request_cancel();
-                           }
-                         });
+    blocker_client.solve(random_set(2000, 24, 22), psvc::RemoteParams{}, "a");
   });
   ASSERT_TRUE(wait_for_stats(
       [](const psvc::StatsMsg& s) { return s.active == 1; }));
@@ -480,7 +488,11 @@ TEST_F(ChaosServiceTest, DeadlineSpentInQueueAnswersWithoutSolving) {
 
   // Hold the slot comfortably past the queued request's deadline.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  release.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    release = true;
+  }
+  hook_cv.notify_all();
   blocker.join();
   waiter.join();
 }
@@ -502,11 +514,15 @@ TEST_F(ChaosServiceTest, DegradeAdmissionWalksLadderAndReportsIt) {
   config_.admission = psvc::AdmissionPolicy::Degrade;
   start_server();
 
-  const psvc::RemoteParams params;
+  // The request names the materializing engine, whose projection is over
+  // budget, so admission must walk it down the ladder.
+  psvc::RemoteParams params;
+  params.strategy = static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
   const auto reference = papi::SessionBuilder()
                              .palette(params.palette_percent, params.alpha)
                              .seed(params.seed)
                              .max_iterations(params.max_iterations)
+                             .strategy(papi::ExecutionStrategy::InMemory)
                              .build()
                              .solve(papi::Problem::pauli(set));
 

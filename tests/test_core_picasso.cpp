@@ -20,6 +20,18 @@ namespace papi = picasso::api;
 namespace pg = picasso::graph;
 namespace pc = picasso::coloring;
 
+namespace {
+
+/// The in-memory oracle driver, forced: Auto plans the fused engine.
+papi::Session in_memory(const pcore::PicassoParams& params) {
+  return papi::SessionBuilder()
+      .params(params)
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build();
+}
+
+}  // namespace
+
 class PicassoSweep
     : public ::testing::TestWithParam<
           std::tuple<double, double, std::uint64_t, double>> {};
@@ -31,7 +43,7 @@ TEST_P(PicassoSweep, ValidColoringOnDenseRandomGraphs) {
   params.palette_percent = percent;
   params.alpha = alpha;
   params.seed = seed;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory(params).solve(papi::Problem::dense(g)).result;
   const pg::DenseOracle oracle(g);
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors));
   EXPECT_GT(r.num_colors, 0u);
@@ -50,12 +62,12 @@ TEST(Picasso, DeterministicGivenSeed) {
   const auto g = pg::erdos_renyi_dense(300, 0.5, 7);
   pcore::PicassoParams params;
   params.seed = 99;
-  const auto a = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
-  const auto b = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto a = in_memory(params).solve(papi::Problem::dense(g)).result;
+  const auto b = in_memory(params).solve(papi::Problem::dense(g)).result;
   EXPECT_EQ(a.colors, b.colors);
   EXPECT_EQ(a.num_colors, b.num_colors);
   params.seed = 100;
-  const auto c = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto c = in_memory(params).solve(papi::Problem::dense(g)).result;
   EXPECT_NE(a.colors, c.colors);  // different seed, different run
 }
 
@@ -63,19 +75,19 @@ TEST(Picasso, KernelsProduceIdenticalColorings) {
   const auto g = pg::erdos_renyi_dense(250, 0.5, 3);
   pcore::PicassoParams params;
   params.kernel = pcore::ConflictKernel::Indexed;
-  const auto idx = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto idx = in_memory(params).solve(papi::Problem::dense(g)).result;
   params.kernel = pcore::ConflictKernel::Reference;
-  const auto ref = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto ref = in_memory(params).solve(papi::Problem::dense(g)).result;
   EXPECT_EQ(idx.colors, ref.colors);
 }
 
 TEST(Picasso, DevicePipelineMatchesHostColoring) {
   const auto g = pg::erdos_renyi_dense(200, 0.5, 5);
   pcore::PicassoParams params;
-  const auto host = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto host = in_memory(params).solve(papi::Problem::dense(g)).result;
   picasso::device::DeviceContext ctx(256u << 20);
   params.device = &ctx;
-  const auto device = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto device = in_memory(params).solve(papi::Problem::dense(g)).result;
   EXPECT_EQ(host.colors, device.colors);
   EXPECT_TRUE(device.iterations.front().csr_built_on_device);
 }
@@ -87,7 +99,7 @@ TEST(Picasso, IterationPalettesAreDisjoint) {
   pcore::PicassoParams params;
   params.palette_percent = 5.0;  // force multiple iterations
   params.alpha = 1.0;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory(params).solve(papi::Problem::dense(g)).result;
   ASSERT_GE(r.iterations.size(), 2u) << "expected a multi-iteration run";
   std::uint64_t palette_sum = 0;
   for (const auto& it : r.iterations) palette_sum += it.palette_size;
@@ -101,7 +113,7 @@ TEST(Picasso, CompleteGraphNeedsAllColors) {
   pcore::PicassoParams params;
   params.palette_percent = 50.0;
   params.alpha = 3.0;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory(params).solve(papi::Problem::dense(g)).result;
   EXPECT_EQ(r.num_colors, 40u);
   const pg::DenseOracle oracle(g);
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors));
@@ -111,7 +123,7 @@ TEST(Picasso, SparseBipartiteUsesFewColors) {
   const auto g = pg::complete_bipartite(40, 40);
   pcore::PicassoParams params;
   params.palette_percent = 12.5;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::csr(g)).result;
+  const auto r = in_memory(params).solve(papi::Problem::csr(g)).result;
   const pg::CsrOracle oracle(g);
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors));
   // Not necessarily 2, but far below n.
@@ -126,8 +138,8 @@ TEST(Picasso, AggressiveBeatsNormalOnColors) {
   pcore::PicassoParams aggr;
   aggr.palette_percent = 3.0;
   aggr.alpha = 30.0;
-  const auto rn = papi::Session::from_params(norm).solve(papi::Problem::dense(g)).result;
-  const auto ra = papi::Session::from_params(aggr).solve(papi::Problem::dense(g)).result;
+  const auto rn = in_memory(norm).solve(papi::Problem::dense(g)).result;
+  const auto ra = in_memory(aggr).solve(papi::Problem::dense(g)).result;
   EXPECT_LT(ra.num_colors, rn.num_colors);
   // ...at the cost of more conflict edges (the paper's trade-off).
   EXPECT_GT(ra.max_conflict_edges, rn.max_conflict_edges);
@@ -139,7 +151,7 @@ TEST(Picasso, MaxIterationsSafetyValveStillValid) {
   params.palette_percent = 2.0;
   params.alpha = 0.5;
   params.max_iterations = 1;  // force the fallback tail
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory(params).solve(papi::Problem::dense(g)).result;
   const pg::DenseOracle oracle(g);
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors));
   EXPECT_FALSE(r.converged);
@@ -147,7 +159,7 @@ TEST(Picasso, MaxIterationsSafetyValveStillValid) {
 
 TEST(Picasso, EmptyGraphIsTrivially0Colored) {
   const pg::DenseGraph g(0);
-  const auto r = papi::Session::from_params({}).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory({}).solve(papi::Problem::dense(g)).result;
   EXPECT_EQ(r.num_colors, 0u);
   EXPECT_TRUE(r.colors.empty());
   EXPECT_TRUE(r.converged);
@@ -155,7 +167,7 @@ TEST(Picasso, EmptyGraphIsTrivially0Colored) {
 
 TEST(Picasso, EdgelessGraphGetsOneIterationOneColorPerPalette) {
   pg::DenseGraph g(50);  // no edges: everyone unconflicted
-  const auto r = papi::Session::from_params({}).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory({}).solve(papi::Problem::dense(g)).result;
   EXPECT_EQ(r.iterations.size(), 1u);
   EXPECT_EQ(r.iterations[0].conflict_edges, 0u);
   const pg::DenseOracle oracle(g);
@@ -164,7 +176,7 @@ TEST(Picasso, EdgelessGraphGetsOneIterationOneColorPerPalette) {
 
 TEST(Picasso, StatsAreInternallyConsistent) {
   const auto g = pg::erdos_renyi_dense(300, 0.5, 19);
-  const auto r = papi::Session::from_params({}).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory({}).solve(papi::Problem::dense(g)).result;
   std::uint32_t colored_sum = 0;
   std::uint64_t max_ec = 0;
   for (std::size_t i = 0; i < r.iterations.size(); ++i) {
@@ -197,7 +209,7 @@ TEST(Picasso, ConflictColoringSchemesAllValid) {
                       pcore::ConflictColoringScheme::StaticLargestFirst}) {
     pcore::PicassoParams params;
     params.conflict_scheme = scheme;
-    const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+    const auto r = in_memory(params).solve(papi::Problem::dense(g)).result;
     EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors))
         << to_string(scheme);
   }
@@ -209,7 +221,7 @@ TEST(Picasso, WorksDirectlyOnPauliComplementOracle) {
   params.palette_percent = 40.0;
   params.alpha = 30.0;
   params.seed = 3;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto r = in_memory(params).solve(papi::Problem::pauli(set)).result;
   const pg::ComplementOracle oracle(set);
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors));
   // The paper's Fig. 1 shows 17 strings -> 9 unitaries; we should land in

@@ -29,6 +29,13 @@ const pp::PauliSet& h4_set() {
   return set;
 }
 
+/// The in-memory oracle driver, forced: Auto plans the fused engine.
+papi::Session in_memory(const pcore::PicassoParams& params) {
+  return papi::SessionBuilder()
+      .params(params)
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build();
+}
 }  // namespace
 
 TEST(Integration, FullQuantumWorkflowProducesVerifiedPartition) {
@@ -55,7 +62,7 @@ TEST(Integration, PicassoMatchesExplicitGraphColoringValidity) {
   const pg::ComplementOracle oracle(set);
   const auto dense = pg::materialize_dense(oracle);
 
-  const auto r = papi::Session::from_params({}).solve(papi::Problem::pauli(set)).result;
+  const auto r = in_memory({}).solve(papi::Problem::pauli(set)).result;
   EXPECT_TRUE(pc::is_valid_coloring(dense, r.colors));
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors));
 }
@@ -66,15 +73,15 @@ TEST(Integration, AllExecutionPathsProduceTheSameColoring) {
   params.seed = 5;
 
   params.kernel = pcore::ConflictKernel::Indexed;
-  const auto indexed = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto indexed = in_memory(params).solve(papi::Problem::pauli(set)).result;
   params.kernel = pcore::ConflictKernel::Reference;
-  const auto reference = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto reference = in_memory(params).solve(papi::Problem::pauli(set)).result;
   EXPECT_EQ(indexed.colors, reference.colors);
 
   picasso::device::DeviceContext ctx(512u << 20);
   params.device = &ctx;
   params.kernel = pcore::ConflictKernel::Indexed;
-  const auto device = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto device = in_memory(params).solve(papi::Problem::pauli(set)).result;
   EXPECT_EQ(indexed.colors, device.colors);
 }
 
@@ -85,7 +92,7 @@ TEST(Integration, PicassoPeakMemoryBeatsExplicitCsr) {
   const pg::ComplementOracle oracle(set);
   const auto csr = pg::materialize_csr(oracle);
 
-  const auto r = papi::Session::from_params({}).solve(papi::Problem::pauli(set)).result;
+  const auto r = in_memory({}).solve(papi::Problem::pauli(set)).result;
   EXPECT_LT(r.peak_logical_bytes, csr.logical_bytes())
       << "Picasso peak " << r.peak_logical_bytes << " vs CSR "
       << csr.logical_bytes();
@@ -108,7 +115,7 @@ TEST(Integration, PicassoQualityIsWithinRangeOfGreedyBaselines) {
   pcore::PicassoParams aggressive;
   aggressive.palette_percent = 3.0;
   aggressive.alpha = 30.0;
-  const auto r = papi::Session::from_params(aggressive).solve(papi::Problem::pauli(set)).result;
+  const auto r = in_memory(aggressive).solve(papi::Problem::pauli(set)).result;
   EXPECT_LT(r.num_colors,
             static_cast<std::uint32_t>(1.25 * static_cast<double>(best_greedy)))
       << "picasso " << r.num_colors << " vs best greedy " << best_greedy;
@@ -121,7 +128,7 @@ TEST(Integration, DatasetRegistrySmallEntriesAreColorable) {
     const auto& set = pp::load_dataset(spec);
     pcore::PicassoParams params;
     params.seed = 2;
-    const auto r = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+    const auto r = in_memory(params).solve(papi::Problem::pauli(set)).result;
     const pg::ComplementOracle oracle(set);
     EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors)) << spec.name;
     EXPECT_LT(r.color_percent(), 50.0) << spec.name;

@@ -144,7 +144,12 @@ TEST(MemoryReport, PicassoRunFillsSubsystemPeaks) {
   pcore::PicassoParams params;
   params.seed = 5;
   params.memory_budget_bytes = 256 << 20;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto r = papi::SessionBuilder()
+                     .params(params)
+                     .strategy(papi::ExecutionStrategy::InMemory)
+                     .build()
+                     .solve(papi::Problem::dense(g))
+                     .result;
   EXPECT_EQ(r.memory.budget_bytes, 256u << 20);
   EXPECT_TRUE(r.memory.within_budget());
   EXPECT_GT(r.memory.peak_tracked_bytes, 0u);
@@ -199,7 +204,12 @@ TEST(MemoryReport, TrackedListsPeakMatchesDriverAccounting) {
   const auto g = pg::erdos_renyi_dense(300, 0.4, 9);
   pcore::PicassoParams params;
   params.seed = 2;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto r = papi::SessionBuilder()
+                     .params(params)
+                     .strategy(papi::ExecutionStrategy::InMemory)
+                     .build()
+                     .solve(papi::Problem::dense(g))
+                     .result;
   std::size_t expected = 0;
   for (const auto& it : r.iterations) {
     // List entries plus the one-word-per-vertex palette signatures the

@@ -161,8 +161,7 @@ struct SolveSpec {
   papi::ExecutionStrategy strategy = papi::ExecutionStrategy::InMemory;
   unsigned threads = 1;
   pobs::TelemetryLevel level = pobs::TelemetryLevel::Counters;
-  std::size_t chunk_strings = 0;  // forces streaming engines to chunk
-  std::uint32_t devices = 0;      // multi-device shard count
+  std::size_t chunk_strings = 0;  // forces the fused engine to stream
 };
 
 papi::SolveReport solve_pauli_spec(const pp::PauliSet& set,
@@ -177,7 +176,6 @@ papi::SolveReport solve_pauli_spec(const pp::PauliSet& set,
     options.chunk_strings = spec.chunk_strings;
     builder.streaming(options);
   }
-  if (spec.devices > 0) builder.devices(spec.devices, 64u << 20);
   return builder.build().solve(papi::Problem::pauli(set));
 }
 
@@ -248,8 +246,8 @@ TEST(MetricsRegistry, NestedRunScopesKeepTheOutermostWindow) {
     EXPECT_TRUE(registry.enabled());
     registry.add(pobs::Counter::RecolorEvents, 1);
     {
-      // A nested scope (a shard solve inside a multi-device run) must not
-      // reset or re-gate the outermost window.
+      // A nested scope (an engine's own scope inside Session::solve) must
+      // not reset or re-gate the outermost window.
       pobs::MetricsRunScope inner(false, registry);
       EXPECT_FALSE(inner.outermost());
       EXPECT_TRUE(registry.enabled());
@@ -462,12 +460,12 @@ TEST(SessionTelemetry, FusedStrikeHitsMatchIterationConflicts) {
             sum_uncolored(report.result));
 }
 
-TEST(SessionTelemetry, BudgetedStreamingSurfacesCacheAndSpillCounters) {
+TEST(SessionTelemetry, FusedStreamingSurfacesCacheAndSpillCounters) {
   // Satellite (b): the chunk cache's hit/miss/re-read tallies must agree
   // between the counter registry and MemoryReport, and show up in its JSON.
   const auto set = random_set(200, 12, 31);
   SolveSpec spec;
-  spec.strategy = papi::ExecutionStrategy::BudgetedStreaming;
+  spec.strategy = papi::ExecutionStrategy::Fused;
   spec.chunk_strings = 50;  // 4 chunks
   const auto report = solve_pauli_spec(set, spec);
   const auto& counters = report.telemetry.counters;
@@ -486,21 +484,6 @@ TEST(SessionTelemetry, BudgetedStreamingSurfacesCacheAndSpillCounters) {
   EXPECT_NE(json.find("\"cache_misses\""), std::string::npos);
   EXPECT_NE(json.find("\"chunk_re_reads\""), std::string::npos);
   EXPECT_TRUE(JsonChecker::valid(json));
-}
-
-TEST(SessionTelemetry, MultiDeviceRoutesShardEdges) {
-  const auto set = random_set(120, 10, 13);
-  SolveSpec spec;
-  spec.strategy = papi::ExecutionStrategy::MultiDevice;
-  spec.devices = 3;
-  const auto report = solve_pauli_spec(set, spec);
-  const auto& counters = report.telemetry.counters;
-  // Every conflict edge crosses exactly one device shard.
-  EXPECT_EQ(counters[pobs::Counter::ShardEdgesRouted],
-            report.total_shard_edges());
-  EXPECT_GT(counters[pobs::Counter::ShardEdgesRouted], 0u);
-  EXPECT_EQ(counters[pobs::Counter::RecolorEvents],
-            sum_uncolored(report.result));
 }
 
 // ---------------------------------------------------------------------------
@@ -524,12 +507,6 @@ std::vector<StrategyCase> all_strategies() {
   }
   {
     SolveSpec s;
-    s.strategy = papi::ExecutionStrategy::BudgetedStreaming;
-    s.chunk_strings = 40;
-    cases.push_back({"budgeted-streaming", s});
-  }
-  {
-    SolveSpec s;
     s.strategy = papi::ExecutionStrategy::Fused;
     cases.push_back({"fused", s});
   }
@@ -538,12 +515,6 @@ std::vector<StrategyCase> all_strategies() {
     s.strategy = papi::ExecutionStrategy::Fused;
     s.chunk_strings = 40;  // spill + strike off chunked records
     cases.push_back({"fused-streaming", s});
-  }
-  {
-    SolveSpec s;
-    s.strategy = papi::ExecutionStrategy::MultiDevice;
-    s.devices = 2;
-    cases.push_back({"multi-device", s});
   }
   return cases;
 }

@@ -50,6 +50,13 @@ double operator_distance(const pp::PauliOperator& a, const pp::PauliOperator& b)
   return worst;
 }
 
+/// The in-memory oracle driver, forced: Auto plans the fused engine.
+papi::Session in_memory(const pcore::PicassoParams& params) {
+  return papi::SessionBuilder()
+      .params(params)
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build();
+}
 }  // namespace
 
 // --- Operator algebra identities ---------------------------------------------
@@ -169,7 +176,7 @@ TEST(Lemma2, ConflictFractionFallsWithVertexCount) {
     const auto g = pg::erdos_renyi_dense(n, 0.5, 13);
     pcore::PicassoParams params;
     params.seed = 13;
-    const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+    const auto r = in_memory(params).solve(papi::Problem::dense(g)).result;
     const double fraction = static_cast<double>(r.max_conflict_edges) /
                             static_cast<double>(g.num_edges());
     EXPECT_LT(fraction, previous_fraction) << "n=" << n;
@@ -200,7 +207,7 @@ TEST_P(AllColorers, AgreeOnValidityAcrossTheBoard) {
   check(pc::speculative_color(g).colors, "speculative");
   pcore::PicassoParams params;
   params.seed = seed;
-  check(papi::Session::from_params(params).solve(papi::Problem::dense(g)).result.colors, "picasso");
+  check(in_memory(params).solve(papi::Problem::dense(g)).result.colors, "picasso");
 }
 
 TEST_P(AllColorers, PicassoColorCountIsAtMostPaletteTotalAndAtLeastClique) {
@@ -211,7 +218,7 @@ TEST_P(AllColorers, PicassoColorCountIsAtMostPaletteTotalAndAtLeastClique) {
   params.seed = seed;
   params.palette_percent = 30.0;
   params.alpha = 4.0;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto r = in_memory(params).solve(papi::Problem::dense(g)).result;
   EXPECT_GE(r.num_colors, 12u);
   EXPECT_LE(r.num_colors, r.palette_total);
   const pg::DenseOracle oracle(g);

@@ -103,6 +103,13 @@ std::string spill_dir() {
   return dir.string();
 }
 
+/// The in-memory oracle driver, forced: Auto plans the fused engine.
+papi::Session in_memory(const pcore::PicassoParams& params) {
+  return papi::SessionBuilder()
+      .params(params)
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build();
+}
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -136,11 +143,11 @@ TEST(DifferentialProperties, PauliBackendsAgreeAndColoringsAreConflictFree) {
     }
 
     params.pauli_backend = pcore::PauliBackend::Scalar;
-    const auto ref = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+    const auto ref = in_memory(params).solve(papi::Problem::pauli(set)).result;
     params.pauli_backend = pcore::PauliBackend::Packed;
-    const auto pk = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+    const auto pk = in_memory(params).solve(papi::Problem::pauli(set)).result;
     params.pauli_backend = pcore::PauliBackend::PackedScalar;
-    const auto pks = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+    const auto pks = in_memory(params).solve(papi::Problem::pauli(set)).result;
 
     ASSERT_EQ(pk.colors, ref.colors) << key;
     ASSERT_EQ(pks.colors, ref.colors) << key;
@@ -165,7 +172,7 @@ TEST(DifferentialProperties, RmatColoringsAreConflictFreeAndStreamsAgree) {
                             std::to_string(g.num_edges()) + " seed=" +
                             std::to_string(params.seed);
 
-    const auto ref = papi::Session::from_params(params).solve(papi::Problem::csr(g)).result;
+    const auto ref = in_memory(params).solve(papi::Problem::csr(g)).result;
     ASSERT_TRUE(coloring_conflict_free_graph(g, ref.colors)) << key;
 
     // The one-pass-per-iteration edge-stream driver sees the same conflict
@@ -205,7 +212,7 @@ TEST(DifferentialProperties, StreamingAgreesUnderRandomBudgetsAndThreads) {
         std::to_string(qubits) + " seed=" + std::to_string(params.seed) +
         " backend=" + pcore::to_string(params.pauli_backend);
 
-    const auto ref = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+    const auto ref = in_memory(params).solve(papi::Problem::pauli(set)).result;
 
     pcore::StreamingOptions options;
     options.chunk_strings = 1 + rng.bounded(n);  // [1, n]
@@ -258,7 +265,7 @@ TEST(DifferentialProperties, FusedAgreesWithMaterializedEverywhere) {
         " backend=" + pcore::to_string(params.pauli_backend) +
         " threads=" + std::to_string(params.runtime.num_threads);
 
-    const auto ref = papi::Session::from_params(params)
+    const auto ref = in_memory(params)
                          .solve(papi::Problem::pauli(set))
                          .result;
 
@@ -323,7 +330,7 @@ TEST(DifferentialProperties, FusedAgreesAcrossConflictSchemes) {
     params.conflict_scheme = kSchemes[c % 5];
     const std::string key = "case " + std::to_string(c) + " scheme=" +
                             pcore::to_string(params.conflict_scheme);
-    const auto ref = papi::Session::from_params(params)
+    const auto ref = in_memory(params)
                          .solve(papi::Problem::pauli(set))
                          .result;
     const auto fused = papi::SessionBuilder()

@@ -1,8 +1,8 @@
 // Serial-vs-parallel equivalence: with RuntimeConfig::deterministic (the
 // default), every runtime-powered path must be bit-identical to the serial
 // num_threads = 1 reference — the conflict CSR (both kernels), the full
-// core solve_oracle driver, Jones-Plassmann, and the multi-device driver — on
-// every test graph family. This is the contract that lets the paper's
+// core solve_oracle driver and Jones-Plassmann — on every test graph
+// family. This is the contract that lets the paper's
 // tables be reproduced at any thread count.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "api/session.hpp"
 #include "coloring/jones_plassmann.hpp"
 #include "coloring/verify.hpp"
-#include "core/multi_device.hpp"
 #include "core/picasso.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
@@ -52,6 +51,13 @@ void expect_identical_csr(const pg::CsrGraph& a, const pg::CsrGraph& b) {
   EXPECT_EQ(a.neighbor_array(), b.neighbor_array());
 }
 
+/// The in-memory oracle driver, forced: Auto plans the fused engine.
+papi::Session in_memory(const pcore::PicassoParams& params) {
+  return papi::SessionBuilder()
+      .params(params)
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build();
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -119,11 +125,11 @@ TEST_P(PicassoEquivalenceFamilies, ColorsBitIdenticalAcrossThreadCounts) {
   params.runtime = serial_config();
 
   auto run_both = [&params](const auto& oracle) {
-    const auto serial = papi::Session::from_params(params).solve(papi::Problem::oracle(oracle)).result;
+    const auto serial = in_memory(params).solve(papi::Problem::oracle(oracle)).result;
     for (std::uint32_t threads : {2u, 4u}) {
       auto p = params;
       p.runtime = parallel_config(threads);
-      const auto parallel = papi::Session::from_params(p).solve(papi::Problem::oracle(oracle)).result;
+      const auto parallel = in_memory(p).solve(papi::Problem::oracle(oracle)).result;
       EXPECT_EQ(serial.colors, parallel.colors) << threads << " threads";
       EXPECT_EQ(serial.num_colors, parallel.num_colors);
       EXPECT_EQ(serial.palette_total, parallel.palette_total);
@@ -181,9 +187,9 @@ TEST(PicassoEquivalence, AggressiveConfigAndReferenceKernel) {
   params.kernel = pcore::ConflictKernel::Reference;
   params.seed = 11;
   params.runtime = serial_config();
-  const auto serial = papi::Session::from_params(params).solve(papi::Problem::oracle(oracle)).result;
+  const auto serial = in_memory(params).solve(papi::Problem::oracle(oracle)).result;
   params.runtime = parallel_config(4);
-  const auto parallel = papi::Session::from_params(params).solve(papi::Problem::oracle(oracle)).result;
+  const auto parallel = in_memory(params).solve(papi::Problem::oracle(oracle)).result;
   EXPECT_EQ(serial.colors, parallel.colors);
 }
 
@@ -214,41 +220,4 @@ TEST(JonesPlassmannEquivalence, DenseGraphPath) {
       g, pc::JpPriority::LargestDegreeFirst, 1, parallel_config(4));
   EXPECT_EQ(serial.colors, parallel.colors);
   EXPECT_TRUE(pc::is_valid_coloring(g, parallel.colors));
-}
-
-// ---------------------------------------------------------------------------
-// Multi-device driver.
-
-TEST(MultiDeviceEquivalence, ConcurrentShardsMatchSerialAndSingleDevice) {
-  const auto g = pg::erdos_renyi(600, 0.05, 13);
-  const pg::CsrOracle oracle(g);
-  pcore::PicassoParams params;
-  params.seed = 2;
-  auto sharded_solve = [&g](const pcore::PicassoParams& p) {
-    return papi::SessionBuilder()
-        .params(p)
-        .devices(3, 64u << 20)
-        .build()
-        .solve(papi::Problem::csr(g));
-  };
-
-  params.runtime = serial_config();
-  const auto serial = sharded_solve(params);
-  // Multi-device coloring must equal the plain single-driver coloring...
-  const auto single = papi::Session::from_params(params).solve(papi::Problem::oracle(oracle)).result;
-  EXPECT_EQ(serial.result.colors, single.colors);
-
-  // ...and the concurrent-shard run must equal both, with identical
-  // per-device edge routing and deterministic per-device peaks.
-  for (std::uint32_t threads : {2u, 4u}) {
-    params.runtime = parallel_config(threads);
-    const auto parallel = sharded_solve(params);
-    EXPECT_EQ(serial.result.colors, parallel.result.colors);
-    ASSERT_EQ(serial.devices.size(), parallel.devices.size());
-    for (std::size_t d = 0; d < serial.devices.size(); ++d) {
-      EXPECT_EQ(serial.devices[d].edges, parallel.devices[d].edges) << d;
-      EXPECT_EQ(serial.devices[d].peak_bytes, parallel.devices[d].peak_bytes)
-          << d;
-    }
-  }
 }

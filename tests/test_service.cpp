@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -26,6 +28,7 @@
 #include "util/rng.hpp"
 
 namespace papi = picasso::api;
+namespace pcore = picasso::core;
 namespace pp = picasso::pauli;
 namespace psvc = picasso::service;
 namespace fs = std::filesystem;
@@ -435,70 +438,116 @@ TEST_F(ServiceTest, CancelMidSolveFreesSlotAndRemovesSpillFile) {
 
 TEST_F(ServiceTest, PriorityThenTenantFairShareOrdersTheQueue) {
   config_.max_active_solves = 1;
+  // session_for copies base_params.progress into every session whose
+  // request neither asks for progress nor has a deadline, so this hook runs
+  // on the solver thread for every request below. It holds the blocker
+  // (2000 strings) on its first event until released, and records the
+  // order in which the server dispatched B, C and D (80, 81 and 82
+  // strings) from the first event of each one's solve.
+  std::mutex hook_mu;
+  std::condition_variable hook_cv;
+  bool blocker_held = false;
+  bool release = false;
+  std::vector<std::uint32_t> dispatched;
+  config_.base_params.progress = [&](const pcore::ProgressEvent& event) {
+    if (event.iteration != 0) return;  // iteration 0 sees the whole input
+    std::unique_lock<std::mutex> lock(hook_mu);
+    if (event.n_active == 2000) {
+      if (blocker_held) return;
+      blocker_held = true;
+      hook_cv.notify_all();
+      hook_cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
+      return;
+    }
+    if (std::find(dispatched.begin(), dispatched.end(), event.n_active) ==
+        dispatched.end()) {
+      dispatched.push_back(event.n_active);
+    }
+  };
   start_server();
 
-  // Occupy the single solver slot with a long-running request from tenant
-  // "a" (tiny palette -> many iterations), queue three more behind it, then
-  // cancel the blocker and observe the drain order.
-  const pp::PauliSet blocker_set = random_set(2000, 24, 8);
-  psvc::RemoteParams blocker_params;
-  blocker_params.want_progress = true;
-  blocker_params.max_iterations = 5000;
-  blocker_params.palette_percent = 0.5;
-  blocker_params.alpha = 1.05;
-
-  std::atomic<bool> release{false};
   auto blocker_client = psvc::Client::connect(server_.address());
   std::thread blocker([&] {
-    blocker_client.solve(blocker_set, blocker_params, "a", 0,
-                         [&](const psvc::ProgressMsg&) {
-                           if (release.load(std::memory_order_acquire)) {
-                             blocker_client.request_cancel();
-                           }
-                         });
+    const psvc::RemoteResult outcome = blocker_client.solve(
+        random_set(2000, 24, 8), psvc::RemoteParams{}, "a", 0);
+    EXPECT_TRUE(outcome.ok) << "blocker: " << outcome.error_message;
   });
-  ASSERT_TRUE(wait_for_stats(
-      [](const psvc::StatsMsg& s) { return s.active == 1; }));
+  {
+    std::unique_lock<std::mutex> lock(hook_mu);
+    ASSERT_TRUE(hook_cv.wait_for(lock, std::chrono::seconds(30),
+                                 [&] { return blocker_held; }));
+  }
 
   const psvc::RemoteParams params;
-  std::mutex order_mu;
-  std::vector<std::string> completion_order;
   auto submit = [&](const char* name, const char* tenant,
-                    std::uint32_t priority, std::uint64_t seed) {
-    return std::thread([&, name, tenant, priority, seed] {
+                    std::uint32_t priority, std::size_t size,
+                    std::uint64_t seed) {
+    return std::thread([&, name, tenant, priority, size, seed] {
       auto client = psvc::Client::connect(server_.address());
-      const pp::PauliSet set = random_set(80, 10, seed);
+      const pp::PauliSet set = random_set(size, 10, seed);
       const psvc::RemoteResult outcome =
           client.solve(set, params, tenant, priority);
       EXPECT_TRUE(outcome.ok) << name << ": " << outcome.error_message;
-      std::lock_guard<std::mutex> lock(order_mu);
-      completion_order.emplace_back(name);
     });
   };
 
   // Queued in seq order B, C, D while the blocker holds the slot. Expected
-  // drain: D first (highest priority), then C (tenant "b" has fewer
+  // dispatch: D first (highest priority), then C (tenant "b" has fewer
   // dispatched solves than "a"), then B.
-  std::thread b = submit("B", "a", 0, 20);
+  std::thread b = submit("B", "a", 0, 80, 20);
   ASSERT_TRUE(wait_for_stats(
       [](const psvc::StatsMsg& s) { return s.queued >= 1; }));
-  std::thread c = submit("C", "b", 0, 21);
+  std::thread c = submit("C", "b", 0, 81, 21);
   ASSERT_TRUE(wait_for_stats(
       [](const psvc::StatsMsg& s) { return s.queued >= 2; }));
-  std::thread d = submit("D", "a", 5, 22);
+  std::thread d = submit("D", "a", 5, 82, 22);
   ASSERT_TRUE(wait_for_stats(
       [](const psvc::StatsMsg& s) { return s.queued >= 3; }));
 
-  release.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    release = true;
+  }
+  hook_cv.notify_all();
   blocker.join();
   b.join();
   c.join();
   d.join();
 
-  ASSERT_EQ(completion_order.size(), 3u);
-  EXPECT_EQ(completion_order[0], "D");
-  EXPECT_EQ(completion_order[1], "C");
-  EXPECT_EQ(completion_order[2], "B");
+  EXPECT_EQ(dispatched, (std::vector<std::uint32_t>{82, 81, 80}))
+      << "expected dispatch order D (82), C (81), B (80)";
+}
+
+TEST_F(ServiceTest, RetiredStrategyTwoGetsBadRequestNamingIt) {
+  start_server();
+  auto client = psvc::Client::connect(server_.address());
+  psvc::RemoteParams params;
+  params.strategy = 2;
+  const psvc::RemoteResult outcome = client.solve(random_set(30, 8, 12), params);
+  ASSERT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error_code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(outcome.error_message.find("budgeted-streaming"), std::string::npos)
+      << outcome.error_message;
+  EXPECT_NE(outcome.error_message.find("retired"), std::string::npos)
+      << outcome.error_message;
+}
+
+TEST_F(ServiceTest, RetiredStrategyFourGetsBadRequestNamingIt) {
+  start_server();
+  auto client = psvc::Client::connect(server_.address());
+  psvc::RemoteParams params;
+  params.strategy = 4;
+  const psvc::RemoteResult outcome = client.solve(random_set(30, 8, 13), params);
+  ASSERT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error_code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(outcome.error_message.find("multi-device"), std::string::npos)
+      << outcome.error_message;
+  EXPECT_NE(outcome.error_message.find("retired"), std::string::npos)
+      << outcome.error_message;
+
+  // The connection survives: a live strategy value still solves.
+  params.strategy = static_cast<std::uint8_t>(papi::ExecutionStrategy::Fused);
+  EXPECT_TRUE(client.solve(random_set(30, 8, 13), params).ok);
 }
 
 TEST_F(ServiceTest, MalformedRequestGetsBadRequestNotDisconnect) {
@@ -544,6 +593,10 @@ TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {
   blocker_params.max_iterations = 5000;
   blocker_params.palette_percent = 0.5;
   blocker_params.alpha = 1.05;
+  // The materializing engine keeps the slot busy long enough at this size
+  // (the fused engine can finish before the second request is queued).
+  blocker_params.strategy =
+      static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
 
   auto blocker_client = psvc::Client::connect(server_.address());
   std::thread blocker([&] {

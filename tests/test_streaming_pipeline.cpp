@@ -1,7 +1,7 @@
 // The memory-budgeted streaming pipeline: chunked spill-file ingestion,
 // budget-admission chunk caching, and — the contract the whole design rests
-// on — bit-identical colorings between the budgeted multi-pass engine and
-// the in-memory oracle driver, across chunk sizes, budgets, and thread
+// on — bit-identical colorings between the streamed fused engine and the
+// in-memory oracle driver, across chunk sizes, budgets, and thread
 // counts. Also covers the edge cases: budget smaller than one chunk, empty
 // Pauli set, and single-pass vs multi-pass equality.
 
@@ -45,6 +45,17 @@ pp::PauliSet random_set(std::size_t n, std::size_t qubits,
 
 std::filesystem::path temp_spill_dir() {
   return std::filesystem::temp_directory_path() / "picasso_stream_test";
+}
+
+/// The materializing reference engine (Auto plans the fused engine).
+pcore::PicassoResult in_memory_solve(const pp::PauliSet& set,
+                                     const pcore::PicassoParams& params) {
+  return papi::SessionBuilder()
+      .params(params)
+      .strategy(papi::ExecutionStrategy::InMemory)
+      .build()
+      .solve(papi::Problem::pauli(set))
+      .result;
 }
 
 }  // namespace
@@ -153,7 +164,7 @@ TEST(ChunkedPauliReader, ResidentBytesMatchLoadedSet) {
 }
 
 // --------------------------------------------------------------------------
-// Equivalence suite: budgeted / chunked runs == the in-memory driver.
+// Equivalence suite: streamed fused runs == the in-memory driver.
 
 class StreamingEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
@@ -163,7 +174,7 @@ TEST_P(StreamingEquivalence, ChunkSizeDoesNotChangeTheColoring) {
   pcore::PicassoParams params;
   params.seed = 11;
 
-  const auto reference = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto reference = in_memory_solve(set, params);
 
   pcore::StreamingOptions options;
   options.chunk_strings = chunk_strings;  // forces the streaming engine
@@ -175,10 +186,19 @@ TEST_P(StreamingEquivalence, ChunkSizeDoesNotChangeTheColoring) {
   EXPECT_EQ(streamed.colors, reference.colors);
   EXPECT_EQ(streamed.num_colors, reference.num_colors);
   EXPECT_EQ(streamed.palette_total, reference.palette_total);
-  EXPECT_EQ(streamed.iterations.size(), reference.iterations.size());
+  // The strike pattern does not depend on the chunking either: the
+  // iterations match the unchunked fused solve (Auto, no budget), whose
+  // conflict_edges count the struck edges rather than the full |Ec|.
+  const auto fused = papi::Session::from_params(params)
+                         .solve(papi::Problem::pauli(set))
+                         .result;
+  ASSERT_EQ(streamed.iterations.size(), reference.iterations.size());
+  ASSERT_EQ(fused.iterations.size(), reference.iterations.size());
   for (std::size_t i = 0; i < streamed.iterations.size(); ++i) {
+    EXPECT_EQ(streamed.iterations[i].n_active,
+              reference.iterations[i].n_active);
     EXPECT_EQ(streamed.iterations[i].conflict_edges,
-              reference.iterations[i].conflict_edges);
+              fused.iterations[i].conflict_edges);
   }
   const pg::ComplementOracle oracle(set);
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, streamed.colors));
@@ -200,17 +220,15 @@ TEST(StreamingPipeline, SinglePassAndMultiPassAreBitIdentical) {
   EXPECT_EQ(single.memory.num_chunks, 1u);
 
   // Multi pass: tiny chunks under a budget that cannot hold them all, so
-  // inner chunks are evicted and re-read every outer pass. The strategy is
-  // pinned: Auto escalates budgets this tight to the fused engine, but this
-  // test exercises the materialized chunk-pair re-scan path.
-  params.memory_budget_bytes = 32 << 10;
+  // chunks are evicted and re-read as the strikes come back to them.
+  params.memory_budget_bytes = 8 << 10;
   pcore::StreamingOptions small_chunks;
   small_chunks.chunk_strings = 32;
   small_chunks.spill_dir = temp_spill_dir().string();
   const auto multi = papi::SessionBuilder()
                          .params(params)
                          .streaming(small_chunks)
-                         .strategy(papi::ExecutionStrategy::BudgetedStreaming)
+                         .strategy(papi::ExecutionStrategy::Fused)
                          .build()
                          .solve(papi::Problem::pauli(set))
                          .result;
@@ -260,18 +278,17 @@ TEST(StreamingPipeline, BudgetSmallerThanOneChunkStillColors) {
   const auto set = random_set(200, 10, 31);
   pcore::PicassoParams params;
   params.seed = 13;
-  const auto reference = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto reference = in_memory_solve(set, params);
 
   // A 1-byte budget cannot admit any chunk: the cache must degrade to
   // load-scan-evict (recording over-budget events) instead of failing.
-  // Strategy pinned to the materialized engine (Auto would go fused here).
   params.memory_budget_bytes = 1;
   pcore::StreamingOptions options;
   options.spill_dir = temp_spill_dir().string();
   const auto r = papi::SessionBuilder()
                      .params(params)
                      .streaming(options)
-                     .strategy(papi::ExecutionStrategy::BudgetedStreaming)
+                     .strategy(papi::ExecutionStrategy::Fused)
                      .build()
                      .solve(papi::Problem::pauli(set))
                      .result;
@@ -281,14 +298,14 @@ TEST(StreamingPipeline, BudgetSmallerThanOneChunkStillColors) {
   EXPECT_GT(r.memory.over_budget_events, 0u);
 }
 
-TEST(StreamingPipeline, UnbudgetedRunDelegatesToInMemoryDriver) {
+TEST(StreamingPipeline, UnbudgetedRunStaysInMemory) {
   const auto set = random_set(150, 9, 41);
   pcore::PicassoParams params;
   params.seed = 19;
   const auto r = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
   EXPECT_FALSE(r.memory.streamed);
   EXPECT_EQ(r.memory.spill_bytes, 0u);
-  EXPECT_EQ(r.colors, papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result.colors);
+  EXPECT_EQ(r.colors, in_memory_solve(set, params).colors);
 }
 
 TEST(StreamingPipeline, GenerousBudgetStaysWithinItAndKeepsInputResident) {
