@@ -34,7 +34,14 @@ endfunction()
 expect_usage_error(bad_strategy
   ARGS color H4_1D_sto3g --strategy bogus
   STDERR_HAS "unknown execution strategy 'bogus'"
-             "valid:" "auto" "in-memory" "semi-streaming" "fused" "sketch"
+             "valid:" "auto" "in-memory" "semi-streaming" "fused"
+             "usage:")
+
+# Retired strategies are unknown spellings, answered with the live list.
+expect_usage_error(retired_strategy
+  ARGS color H4_1D_sto3g --strategy sketch
+  STDERR_HAS "unknown execution strategy 'sketch'"
+             "valid:" "auto" "in-memory" "semi-streaming" "fused"
              "usage:")
 
 expect_usage_error(bad_backend

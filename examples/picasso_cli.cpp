@@ -18,13 +18,11 @@
 //   --mode M        partition relation: unitary | commute | qwc
 //   --backend B     Pauli backend: auto | scalar | packed | packed-scalar
 //   --strategy S    execution strategy: auto | in-memory (inmemory) |
-//                   semi-streaming | fused | sketch. Applies to `color` and
-//                   (for unitary mode) `partition`; `auto` plans `fused`,
-//                   which colors edge-free off the palette buckets, never
+//                   semi-streaming | fused. Applies to `color` and (for
+//                   unitary mode) `partition`; `auto` plans `fused`, which
+//                   colors edge-free off the palette buckets, never
 //                   building the conflict CSR; `in-memory` is the
-//                   materializing reference engine; `sketch` adds the
-//                   probabilistic Bloom tier (exact colorings for Pauli
-//                   input, hashed edge oracle for explicit graphs).
+//                   materializing reference engine.
 //   --budget BYTES  memory budget (0 = unlimited; a budget below twice the
 //                   encoded input spills it and streams it in chunks)
 //   --mtx           color: parse --file as MatrixMarket (auto-detected for
@@ -145,7 +143,7 @@ const char* kUsage =
     "usage: picasso_cli <list|info|partition|color|sweep|remote> [target] "
     "[--percent P] [--alpha A] [--seed S] [--mode unitary|commute|qwc] "
     "[--backend auto|scalar|packed|packed-scalar] "
-    "[--strategy auto|inmemory|semi-streaming|fused|sketch] "
+    "[--strategy auto|inmemory|semi-streaming|fused] "
     "[--budget BYTES] [--file path] [--mtx] [--stream] [--refine] [--csv] "
     "[--metrics] [--trace FILE] [--update FILE]... "
     "[--connect ADDR] [--tenant NAME] [--priority N] [--cancel-after N] "

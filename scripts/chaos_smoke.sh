@@ -124,6 +124,9 @@ grep -q "rejected_over_budget=0" "$WORK/a_stats.out" \
 idle=$(grep -o "idle_disconnects=[0-9]*" "$WORK/a_stats.out" | cut -d= -f2)
 [ "${idle:-0}" -ge 1 ] || fail "stalled client was not idle-reaped (idle_disconnects='${idle:-}')"
 [ -f "$SPILL_A/unrelated.pset" ] || fail "janitor removed a foreign file"
+# Nothing is in flight, and the foreign file is not this daemon's spill.
+grep -q "spill_files_live=0" "$WORK/a_stats.out" \
+  || fail "daemon A counted a foreign file as a live spill"
 
 "$CLI" remote --connect "$ADDR" --shutdown > /dev/null 2>&1 || fail "daemon A shutdown failed"
 A_EXIT=0

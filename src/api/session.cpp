@@ -61,39 +61,6 @@ core::PicassoResult visit_oracle(const Problem& problem,
   }
 }
 
-/// The Csr/Dense tier of ExecutionStrategy::Sketch: a fused solve against a
-/// Bloom filter of the edge set (no false negatives, so the coloring stays
-/// valid), with the filter's accuracy recorded into `info`.
-core::PicassoResult solve_hashed(const Problem& problem,
-                                 core::PicassoParams params, SketchInfo& info) {
-  // The hashed oracle's query counters are plain (non-atomic): keep every
-  // edge query on the scheme body's thread.
-  params.runtime.serial_cutoff = 0xffffffffu;
-  const auto run = [&](const auto& hashed) {
-    util::ScopedCharge sketch_charge(util::MemSubsystem::SketchSigs,
-                                     hashed.bloom_bytes());
-    core::PicassoResult result = core::solve_fused(hashed, params);
-    info.hashed = true;
-    info.probes = hashed.stats().probes;
-    info.claimed = hashed.stats().claimed;
-    info.false_conflicts = hashed.stats().false_conflicts;
-    info.false_conflict_rate = hashed.stats().false_conflict_rate();
-    info.sketch_bytes = hashed.bloom_bytes();
-    return result;
-  };
-  if (problem.kind() == ProblemKind::Csr) {
-    const graph::CsrGraph& g = problem.csr_graph();
-    const graph::CsrOracle exact(g);
-    return run(core::build_hashed_oracle(
-        g, exact, core::hashed_sketch_bits(g.num_edges(), params),
-        params.seed));
-  }
-  const graph::DenseGraph& g = problem.dense_graph();
-  const graph::DenseOracle exact(g);
-  return run(core::build_hashed_oracle(
-      exact, core::hashed_sketch_bits(g.num_edges(), params), params.seed));
-}
-
 /// Builds the resident state for a session. A memory budget or an explicit
 /// chunk size routes the record store through a spill from the first
 /// ingest: an incremental store only ever grows, so a budgeted session
@@ -144,7 +111,6 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
     case ExecutionStrategy::InMemory: return "in-memory";
     case ExecutionStrategy::SemiStreaming: return "semi-streaming";
     case ExecutionStrategy::Fused: return "fused";
-    case ExecutionStrategy::Sketch: return "sketch";
   }
   return "?";
 }
@@ -152,8 +118,7 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
 ExecutionStrategy parse_strategy(std::string_view name) {
   constexpr ExecutionStrategy kAll[] = {
       ExecutionStrategy::Auto, ExecutionStrategy::InMemory,
-      ExecutionStrategy::SemiStreaming, ExecutionStrategy::Fused,
-      ExecutionStrategy::Sketch};
+      ExecutionStrategy::SemiStreaming, ExecutionStrategy::Fused};
   for (ExecutionStrategy strategy : kAll) {
     if (name == to_string(strategy)) return strategy;
   }
@@ -236,9 +201,7 @@ Session SessionBuilder::build() const {
     throw ApiError(ErrorCode::InvalidArgument, "max_iterations",
                    "must be >= 1, got " + std::to_string(p.max_iterations));
   }
-  if ((session_.strategy_ == ExecutionStrategy::Fused ||
-       session_.strategy_ == ExecutionStrategy::Sketch) &&
-      p.device != nullptr) {
+  if (session_.strategy_ == ExecutionStrategy::Fused && p.device != nullptr) {
     throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
                    std::string("the ") + to_string(session_.strategy_) +
                        " strategy colors straight off the oracle and does "
@@ -297,19 +260,6 @@ SolvePlan Session::plan(const Problem& problem) const {
                            to_string(kind));
       }
       break;
-    case ExecutionStrategy::Sketch:
-      // The probabilistic tier needs resident input: a Pauli kind (support
-      // blooms fold off the packed planes) or an explicit graph (edge set
-      // hashed into a Bloom filter). Never picked by Auto — the sketch is
-      // an explicit opt-in.
-      if (kind != ProblemKind::Pauli && kind != ProblemKind::PackedPauli &&
-          kind != ProblemKind::Csr && kind != ProblemKind::Dense) {
-        throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
-                       std::string("Sketch needs a Pauli, PackedPauli, Csr "
-                                   "or Dense problem, got ") +
-                           to_string(kind));
-      }
-      break;
     case ExecutionStrategy::Auto:
       break;  // resolved above
   }
@@ -365,9 +315,6 @@ SolveReport Session::solve(const Problem& problem,
   obs::TraceRecorder recorder;
   if (telemetry_ == obs::TelemetryLevel::Full) params.trace = &recorder;
 
-  const auto fused = [&params](const auto& oracle) {
-    return core::solve_fused(oracle, params);
-  };
   switch (report.plan.strategy) {
     case ExecutionStrategy::InMemory:
       report.result =
@@ -393,24 +340,12 @@ SolveReport Session::solve(const Problem& problem,
         report.result = core::solve_pauli_budgeted_fused(problem.pauli_set(),
                                                          params, streamed);
       } else {
-        report.result = visit_oracle(problem, params, fused);
+        report.result =
+            visit_oracle(problem, params, [&params](const auto& oracle) {
+              return core::solve_fused(oracle, params);
+            });
       }
       break;
-    case ExecutionStrategy::Sketch: {
-      SketchInfo info;
-      info.used = true;
-      if (kind == ProblemKind::Csr || kind == ProblemKind::Dense) {
-        report.result = solve_hashed(problem, params, info);
-      } else {
-        // Support blooms dismiss provably-commuting candidate batches before
-        // the exact packed merge; the coloring is bit-identical to the
-        // Fused sibling.
-        params.sketch_prefilter = true;
-        report.result = visit_oracle(problem, params, fused);
-      }
-      report.sketch = info;
-      break;
-    }
     case ExecutionStrategy::Auto:
       break;  // unreachable: plan() always resolves Auto
   }

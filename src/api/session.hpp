@@ -51,7 +51,7 @@ namespace picasso::api {
 /// rest force one pipeline and fail with ApiError(IncompatibleStrategy)
 /// when the problem cannot run it. The numeric values are pinned:
 /// service::RemoteParams::strategy carries them on the wire, and the gaps
-/// (2, 4) are retired strategies the server answers with BadRequest.
+/// (2, 4, 6) are retired strategies the server answers with BadRequest.
 enum class ExecutionStrategy {
   Auto = 0,
   InMemory = 1,       // reference engine: materializes each iteration's
@@ -60,16 +60,12 @@ enum class ExecutionStrategy {
   Fused = 5,          // edge-free engine: no conflict CSR is ever built
                       // (spills + strikes off chunked records when the
                       // budget/chunking forces streaming)
-  Sketch = 6,         // probabilistic tier: fused engine with the Bloom
-                      // support-sketch prefilter for Pauli kinds; a fully
-                      // hashed edge oracle for Csr/Dense graphs (colorings
-                      // stay valid — the hash admits no false negatives)
 };
 
 const char* to_string(ExecutionStrategy strategy) noexcept;
 
 /// Inverse of to_string(ExecutionStrategy): parses "auto" / "in-memory" /
-/// "semi-streaming" / "fused" / "sketch" (plus the CLI shorthand
+/// "semi-streaming" / "fused" (plus the CLI shorthand
 /// "inmemory"). Throws std::invalid_argument naming the valid spellings on
 /// anything else — the CLI surfaces that message verbatim with exit code 2.
 ExecutionStrategy parse_strategy(std::string_view name);
@@ -115,24 +111,6 @@ struct SolveTelemetry {
   }
 };
 
-/// What the probabilistic tier of an ExecutionStrategy::Sketch solve did.
-/// For Pauli kinds the sketch is a prefilter in front of exact kernels, so
-/// the coloring is bit-identical to the Fused sibling and the per-probe
-/// stats live in the telemetry counters (sketch_probes / sketch_hits /
-/// sketch_false_positives). For Csr/Dense the solve ran entirely against a
-/// hashed edge membership filter; the fields below measure how often the
-/// hash claimed an edge the exact oracle disowns (extra colors, never an
-/// invalid coloring).
-struct SketchInfo {
-  bool used = false;    // a sketch tier actually engaged
-  bool hashed = false;  // fully-hashed oracle (Csr/Dense), not a prefilter
-  std::uint64_t probes = 0;           // hashed: edge queries answered
-  std::uint64_t claimed = 0;          // hashed: queries the filter claimed
-  std::uint64_t false_conflicts = 0;  // hashed: claims the exact oracle denies
-  double false_conflict_rate = 0.0;   // false_conflicts / probes
-  std::size_t sketch_bytes = 0;       // filter footprint (Bloom bit array)
-};
-
 /// PicassoResult enriched with the plan that produced it.
 struct SolveReport {
   core::PicassoResult result;
@@ -146,8 +124,6 @@ struct SolveReport {
   /// Set by Session::update() only: the insertion/recolor/escalation work
   /// accounting of that one delta.
   std::optional<core::UpdateStats> update;
-  /// Set by ExecutionStrategy::Sketch solves only.
-  std::optional<SketchInfo> sketch;
 };
 
 /// One increment handed to Session::update(): either new Pauli records to

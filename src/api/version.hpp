@@ -9,13 +9,15 @@
 // Compatibility policy: the picasso::api surface (Problem, SessionBuilder,
 // Session, ApiError) is stable within a major version. 2.0 removed the
 // deprecated picasso_color_* free functions, SessionBuilder::devices() and
-// the BudgetedStreaming / MultiDevice strategies.
+// the BudgetedStreaming / MultiDevice strategies. 3.0 removed the
+// probabilistic sketch strategy (wire value 6), its per-solve report and
+// its two PicassoParams knobs; the fused engine keeps the memory saving.
 
-#define PICASSO_API_VERSION_MAJOR 2
+#define PICASSO_API_VERSION_MAJOR 3
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 
-// "MMmmpp" as a single comparable integer, e.g. 20000 for 2.0.0.
+// "MMmmpp" as a single comparable integer, e.g. 30000 for 3.0.0.
 #define PICASSO_API_VERSION_CODE                               \
   (PICASSO_API_VERSION_MAJOR * 10000 + PICASSO_API_VERSION_MINOR * 100 + \
    PICASSO_API_VERSION_PATCH)

@@ -80,8 +80,9 @@ class ColorLists {
 
   /// Frees the signature words (signature() degrades to the all-ones
   /// no-op filter; share_color falls back to the exact merge, so results
-  /// are unchanged). The fused sketch path drops them — its budget-sized
-  /// support blooms subsume the one-word palette filter.
+  /// are unchanged). The fused engine drops them on every iteration because
+  /// it never reads them: its strikes are bucket-indexed and its static
+  /// enumerators dedupe through first_shared_color.
   void drop_signatures() {
     sigs_.clear();
     sigs_.shrink_to_fit();

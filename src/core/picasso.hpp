@@ -90,20 +90,6 @@ struct PicassoParams {
   /// spills the Pauli input to disk when it takes more than half the cap
   /// and sizes its chunk cache under it, re-reading chunks on demand.
   std::size_t memory_budget_bytes = 0;
-  /// Engages the probabilistic sketch tier in front of the exact conflict
-  /// oracle where an engine supports it: the fused engines put OR-folded
-  /// support blooms before the packed merge (complement oracles only — a
-  /// provably disjoint support pair commutes, hence IS a complement edge,
-  /// so the sketch only ever answers when the answer is certain), and the
-  /// incremental engine folds its bucket signatures the same way. Colorings
-  /// stay bit-identical; obs counters sketch_probes / sketch_hits /
-  /// sketch_false_positives measure the filter.
-  bool sketch_prefilter = false;
-  /// Sketch width in 32-bit words per vertex (0 = auto: one word, or
-  /// budget/64 spread over the active set when memory_budget_bytes is set;
-  /// always clamped to the oracle's natural fold width). Deterministic
-  /// given params — never derived from live memory headroom.
-  std::size_t sketch_words = 0;
   /// Cooperative cancellation: checked at iteration boundaries in every
   /// driver and between bucket scans in the fused engines. A requested
   /// stop raises SolveCancelled; the default token never fires. See

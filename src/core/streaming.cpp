@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -85,6 +86,33 @@ std::string unique_spill_path(const std::string& dir, const char* tag) {
   return (base / name).string();
 }
 
+int spill_owner_pid(std::string_view file) {
+  constexpr std::string_view kPrefix = "picasso_";
+  if (!file.starts_with(kPrefix)) return 0;
+  if (file.ends_with(".colors")) file.remove_suffix(7);
+  if (!file.ends_with(".pset")) return 0;
+  file.remove_suffix(5);
+  file.remove_prefix(kPrefix.size());
+  // <tag>_<pid>_<seq>: the pid is the second-to-last '_'-separated field.
+  const std::size_t seq_sep = file.rfind('_');
+  if (seq_sep == std::string_view::npos || seq_sep == 0) return 0;
+  const std::size_t pid_sep = file.rfind('_', seq_sep - 1);
+  if (pid_sep == std::string_view::npos) return 0;
+  const auto is_number = [](std::string_view digits) {
+    return !digits.empty() &&
+           digits.find_first_not_of("0123456789") == std::string_view::npos;
+  };
+  const std::string_view pid_field =
+      file.substr(pid_sep + 1, seq_sep - pid_sep - 1);
+  if (!is_number(pid_field) || !is_number(file.substr(seq_sep + 1))) {
+    return 0;
+  }
+  int pid = 0;
+  const auto [end, ec] = std::from_chars(
+      pid_field.data(), pid_field.data() + pid_field.size(), pid);
+  return ec == std::errc() ? pid : 0;
+}
+
 std::size_t sweep_orphan_spills(const std::string& dir) {
   namespace fs = std::filesystem;
   if (dir.empty()) return 0;
@@ -93,25 +121,9 @@ std::size_t sweep_orphan_spills(const std::string& dir) {
   if (ec) return 0;
   std::size_t removed = 0;
   for (const auto& entry : it) {
-    const std::string file = entry.path().filename().string();
-    // Only files this process family named: picasso_<tag>_<pid>_<counter>
-    // with a .pset or .pset.colors suffix. Everything else in the directory
-    // is left alone.
-    if (file.rfind("picasso_", 0) != 0) continue;
-    const bool spill = file.size() > 5 && file.ends_with(".pset");
-    const bool sidecar = file.ends_with(".pset.colors");
-    if (!spill && !sidecar) continue;
-    // pid is the second-to-last '_'-separated field.
-    const std::size_t counter_sep = file.rfind('_');
-    if (counter_sep == std::string::npos) continue;
-    const std::size_t pid_sep = file.rfind('_', counter_sep - 1);
-    if (pid_sep == std::string::npos) continue;
-    int pid = 0;
-    try {
-      pid = std::stoi(file.substr(pid_sep + 1, counter_sep - pid_sep - 1));
-    } catch (const std::exception&) {
-      continue;
-    }
+    // Only files this process family named; everything else in the
+    // directory is left alone.
+    const int pid = spill_owner_pid(entry.path().filename().string());
     if (pid <= 0 || pid == static_cast<int>(::getpid())) continue;
     // kill(pid, 0): probes existence without signalling. ESRCH = the owner
     // is gone and its spill is an orphan from a crash; EPERM = some live

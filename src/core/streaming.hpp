@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -103,6 +104,12 @@ struct StreamingOptions {
 /// once can never race to the same name. "" for `dir` means the system temp
 /// directory; the directory is created if missing.
 std::string unique_spill_path(const std::string& dir, const char* tag);
+
+/// The owning pid of a spill file name unique_spill_path minted —
+/// `picasso_<tag>_<pid>_<seq>.pset`, or its `.pset.colors` sidecar — or 0
+/// for any other name. The one parser behind the janitor below and the
+/// service's live-spill count.
+int spill_owner_pid(std::string_view filename);
 
 /// Spill-directory janitor: removes `picasso_<tag>_<pid>_<counter>.pset`
 /// files (and their `.colors` sidecars) whose owning pid no longer exists —

@@ -55,18 +55,13 @@ enum class Counter : unsigned {
   SpillBytesWritten,     // bytes spilled to .pset files
   SpillBytesRead,        // bytes read back from spill files
   StreamEdgesScanned,    // semi-streaming: edges seen across all passes
-  ShardEdgesRouted,      // retired with the multi-device driver; always 0,
-                         // kept so the JSON counter layout stays stable
   UpdateVerticesInserted,  // incremental: delta vertices colored in place
   UpdateBucketProbes,      // incremental: color buckets probed during insertion
   UpdateRecolorMoves,      // incremental: blockers moved by bounded local recoloring
   UpdateEscalations,       // incremental: full prefix re-solves triggered
   UpdateFreshColors,       // incremental: colors first used by an inserted vertex
-  SketchProbes,            // sketch tier: bloom-signature disjointness probes issued
-  SketchHits,              // sketch tier: probes that dismissed the exact kernel outright
-  SketchFalsePositives,    // sketch tier: undismissed probes the exact kernel then resolved all-conflict
 };
-inline constexpr std::size_t kNumCounters = 23;
+inline constexpr std::size_t kNumCounters = 19;
 
 const char* to_string(Counter c) noexcept;
 

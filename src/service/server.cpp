@@ -1,5 +1,7 @@
 #include "service/server.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -33,21 +35,18 @@ void check_strategy(std::uint8_t value) {
       throw std::invalid_argument(
           "strategy value 4 (multi-device) is retired; send fused (5) or "
           "auto (0)");
+    case 6:
+      throw std::invalid_argument(
+          "strategy value 6 (sketch) is retired; send fused (5) or auto (0)");
   }
-  if (value > static_cast<std::uint8_t>(api::ExecutionStrategy::Sketch)) {
+  if (value > static_cast<std::uint8_t>(api::ExecutionStrategy::Fused)) {
     throw std::invalid_argument("unknown strategy value " +
                                 std::to_string(value));
   }
 }
 
 bool materializes_csr(api::ExecutionStrategy strategy) {
-  switch (strategy) {
-    case api::ExecutionStrategy::Fused:
-    case api::ExecutionStrategy::Sketch:
-      return false;
-    default:
-      return true;
-  }
+  return strategy != api::ExecutionStrategy::Fused;
 }
 
 }  // namespace
@@ -212,7 +211,13 @@ std::size_t Server::live_spill_files() const {
   std::size_t count = 0;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(spill_dir_, ec)) {
-    if (entry.path().extension() == ".pset") ++count;
+    // Only this process's own spills: foreign files the janitor keeps (and
+    // kept .colors sidecars) are not in-flight work.
+    const std::string file = entry.path().filename().string();
+    if (file.ends_with(".pset") &&
+        core::spill_owner_pid(file) == static_cast<int>(::getpid())) {
+      ++count;
+    }
   }
   return count;
 }
@@ -394,7 +399,7 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
 
   // Admission: projected peak vs the server-wide budget. The projection
   // reuses the planner's own CSR model; plans that never build a CSR
-  // (fused/sketch) are charged the frontier floor instead, so a client can
+  // (fused) are charged the frontier floor instead, so a client can
   // shrink an over-budget request into an admissible one by picking a
   // streaming/fused strategy or setting a per-request budget.
   bool admission_degraded = false;
@@ -402,39 +407,32 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
   if (config_.memory_budget_bytes > 0) {
     std::size_t projected = projected_peak_bytes(plan, msg.records);
     if (projected > config_.memory_budget_bytes &&
-        config_.admission == AdmissionPolicy::Degrade) {
-      // Degradation ladder: re-plan down the strategy rungs until one fits.
+        config_.admission == AdmissionPolicy::Degrade &&
+        materializes_csr(plan.strategy)) {
+      // Degradation ladder: a materializing plan re-plans as fused.
       // Determinism makes the downgraded coloring identical, so the client
       // loses only speed — the downgrade is reported, not hidden.
-      const std::size_t original_projected = projected;
-      const std::string original_summary = plan.summary();
-      for (const api::ExecutionStrategy rung :
-           {api::ExecutionStrategy::Fused, api::ExecutionStrategy::Sketch}) {
-        if (static_cast<api::ExecutionStrategy>(msg.params.strategy) == rung) {
-          continue;  // already on this rung
-        }
-        RemoteParams downgraded = msg.params;
-        downgraded.strategy = static_cast<std::uint8_t>(rung);
-        try {
-          api::Session rung_session = session_for(downgraded);
-          api::SolvePlan rung_plan =
-              rung_session.plan(api::Problem::pauli(msg.records));
-          const std::size_t rung_projected =
-              projected_peak_bytes(rung_plan, msg.records);
-          if (rung_projected > config_.memory_budget_bytes) continue;
+      RemoteParams downgraded = msg.params;
+      downgraded.strategy =
+          static_cast<std::uint8_t>(api::ExecutionStrategy::Fused);
+      try {
+        const api::SolvePlan fused_plan =
+            session_for(downgraded).plan(api::Problem::pauli(msg.records));
+        const std::size_t fused_projected =
+            projected_peak_bytes(fused_plan, msg.records);
+        if (fused_projected <= config_.memory_budget_bytes) {
           admission_degraded = true;
           admission_degraded_reason =
-              "admission degraded plan (" + original_summary + ", projected " +
-              std::to_string(original_projected) + " bytes over budget " +
+              "admission degraded plan (" + plan.summary() + ", projected " +
+              std::to_string(projected) + " bytes over budget " +
               std::to_string(config_.memory_budget_bytes) + ") to " +
-              rung_plan.summary();
+              fused_plan.summary();
           msg.params = downgraded;
-          plan = rung_plan;
-          projected = rung_projected;
-          break;
-        } catch (const std::exception&) {
-          continue;  // rung not viable for this problem; try the next
+          plan = fused_plan;
+          projected = fused_projected;
         }
+      } catch (const std::exception&) {
+        // Fused is not viable for this configuration; reject below.
       }
     }
     if (projected > config_.memory_budget_bytes) {

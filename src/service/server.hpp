@@ -60,9 +60,9 @@ namespace picasso::service {
 enum class AdmissionPolicy : std::uint8_t {
   /// Answer Error(OverBudget) naming both numbers (the default).
   Reject = 0,
-  /// Walk the plan down the degradation ladder — materialized → fused →
-  /// sketch — and admit the first rung that fits, reporting the downgrade
-  /// in the result's `degraded` fields. Rejects only when even the sketch
+  /// Walk the plan down the degradation ladder — materialized → fused —
+  /// and admit it if the fused frontier fits, reporting the downgrade in
+  /// the result's `degraded` fields. Rejects only when even the fused
   /// frontier cannot fit.
   Degrade = 1,
 };

@@ -353,6 +353,23 @@ TEST_F(ChaosTest, JanitorSweepsDeadPidSpillsAndKeepsLiveOnes) {
   EXPECT_TRUE(fs::exists(dir / "unrelated.pset"));
 }
 
+TEST(SpillNames, OwnerPidParsesOnlyMintedNames) {
+  using picasso::core::spill_owner_pid;
+  const std::string minted = picasso::core::unique_spill_path(
+      (fs::temp_directory_path() / "picasso_spill_names").string(), "a_b");
+  fs::remove(fs::temp_directory_path() / "picasso_spill_names");
+  EXPECT_EQ(spill_owner_pid(fs::path(minted).filename().string()),
+            static_cast<int>(::getpid()));
+  EXPECT_EQ(spill_owner_pid("picasso_spill_123_4.pset"), 123);
+  EXPECT_EQ(spill_owner_pid("picasso_spill_123_4.pset.colors"), 123);
+  for (const char* foreign :
+       {"unrelated.pset", "picasso_123_4.pset", "picasso_spill_12x_4.pset",
+        "picasso_spill_123_.pset", "picasso_spill_123_4.psetx",
+        "picasso_spill_123_4.colors", "other_spill_123_4.pset"}) {
+    EXPECT_EQ(spill_owner_pid(foreign), 0) << foreign;
+  }
+}
+
 // --- Service-level chaos ----------------------------------------------------
 
 namespace {
@@ -581,10 +598,16 @@ TEST_F(ChaosServiceTest, ServerStartupSweepsOrphanSpills) {
   };
   touch("picasso_boot_" + std::to_string(dead) + "_1.pset");
   touch("picasso_boot_" + std::to_string(dead) + "_1.pset.colors");
+  // Foreign files the janitor keeps: neither is this server's in-flight
+  // work, so neither counts as a live spill.
+  touch("unrelated.pset");
+  touch("picasso_boot_1_2.pset");  // pid 1 is alive
   start_server();
 
   auto client = psvc::Client::connect(server_.address());
   const psvc::StatsMsg stats = client.stats();
   EXPECT_EQ(stats.orphan_spills_swept, 2u);
   EXPECT_EQ(stats.spill_files_live, 0u);
+  EXPECT_TRUE(fs::exists((root_ / "spill") / "unrelated.pset"));
+  EXPECT_TRUE(fs::exists((root_ / "spill") / "picasso_boot_1_2.pset"));
 }

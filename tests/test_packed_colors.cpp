@@ -3,18 +3,23 @@
 // workloads: read-back equals a reference std::vector under arbitrary
 // interleaved writes (including kNoColor and escape-tier values), widths
 // come from palette bounds, escapes re-widen instead of growing without
-// bound, and the binary save/load round-trips bit-exactly.
+// bound, and the binary save/load round-trips bit-exactly — also through
+// the .pset spill color sidecar.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
+#include "pauli/pauli_stream.hpp"
 #include "util/packed_colors.hpp"
 #include "util/rng.hpp"
 
+namespace fs = std::filesystem;
+namespace pp = picasso::pauli;
 namespace pu = picasso::util;
 
 using pu::PackedColorArray;
@@ -169,4 +174,20 @@ TEST(PackedColors, SaveLoadRoundTrip) {
 TEST(PackedColors, LoadRejectsGarbage) {
   std::stringstream buf("definitely not a PCL1 blob");
   EXPECT_THROW(PackedColorArray::load(buf), std::runtime_error);
+}
+
+// The .pset spill color sidecar: packed colors round-trip through the
+// binary file, including kNoColor backlog markers.
+TEST(SpillColors, RoundTrip) {
+  const fs::path path =
+      fs::temp_directory_path() / "picasso_spill_colors_roundtrip.bin";
+  fs::remove(path);
+  PackedColorArray colors(100, PackedColorArray::kNoColor, 12);
+  for (std::size_t i = 0; i < 90; ++i) {
+    colors[i] = static_cast<std::uint32_t>(i % 11);
+  }
+  pp::write_spill_colors(path.string(), colors);
+  const PackedColorArray back = pp::read_spill_colors(path.string());
+  EXPECT_TRUE(back == colors);
+  fs::remove(path);
 }

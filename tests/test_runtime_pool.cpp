@@ -87,8 +87,10 @@ TEST(ThreadPool, WorkStealingMovesTasksAcrossQueues) {
   for (int i = 0; i < 400; ++i) {
     pool.submit([&counter, i] {
       if (i == 0) {
-        for (volatile int spin = 0; spin < 5000000; ++spin) {
-        }
+        // A plain store to a volatile each round: the optimizer must keep
+        // every one, and unlike ++ on a volatile it is not deprecated.
+        volatile int sink = 0;
+        for (int spin = 0; spin < 5000000; ++spin) sink = spin;
       }
       counter.fetch_add(1);
     });

@@ -518,32 +518,32 @@ TEST_F(ServiceTest, PriorityThenTenantFairShareOrdersTheQueue) {
       << "expected dispatch order D (82), C (81), B (80)";
 }
 
-TEST_F(ServiceTest, RetiredStrategyTwoGetsBadRequestNamingIt) {
+TEST_F(ServiceTest, RetiredStrategiesGetBadRequestNamingThem) {
   start_server();
   auto client = psvc::Client::connect(server_.address());
   psvc::RemoteParams params;
-  params.strategy = 2;
-  const psvc::RemoteResult outcome = client.solve(random_set(30, 8, 12), params);
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error_code, psvc::ServiceErrorCode::BadRequest);
-  EXPECT_NE(outcome.error_message.find("budgeted-streaming"), std::string::npos)
-      << outcome.error_message;
-  EXPECT_NE(outcome.error_message.find("retired"), std::string::npos)
-      << outcome.error_message;
-}
+  const std::pair<std::uint8_t, const char*> retired[] = {
+      {2, "budgeted-streaming"}, {4, "multi-device"}, {6, "sketch"}};
+  for (const auto& [value, name] : retired) {
+    params.strategy = value;
+    const psvc::RemoteResult outcome =
+        client.solve(random_set(30, 8, 12), params);
+    ASSERT_FALSE(outcome.ok) << name;
+    EXPECT_EQ(outcome.error_code, psvc::ServiceErrorCode::BadRequest) << name;
+    EXPECT_NE(outcome.error_message.find(name), std::string::npos)
+        << outcome.error_message;
+    EXPECT_NE(outcome.error_message.find("retired"), std::string::npos)
+        << outcome.error_message;
+  }
 
-TEST_F(ServiceTest, RetiredStrategyFourGetsBadRequestNamingIt) {
-  start_server();
-  auto client = psvc::Client::connect(server_.address());
-  psvc::RemoteParams params;
-  params.strategy = 4;
-  const psvc::RemoteResult outcome = client.solve(random_set(30, 8, 13), params);
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error_code, psvc::ServiceErrorCode::BadRequest);
-  EXPECT_NE(outcome.error_message.find("multi-device"), std::string::npos)
-      << outcome.error_message;
-  EXPECT_NE(outcome.error_message.find("retired"), std::string::npos)
-      << outcome.error_message;
+  // Past the last live value is unknown, not retired.
+  params.strategy = 7;
+  const psvc::RemoteResult unknown = client.solve(random_set(30, 8, 12), params);
+  ASSERT_FALSE(unknown.ok);
+  EXPECT_EQ(unknown.error_code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(unknown.error_message.find("unknown strategy value 7"),
+            std::string::npos)
+      << unknown.error_message;
 
   // The connection survives: a live strategy value still solves.
   params.strategy = static_cast<std::uint8_t>(papi::ExecutionStrategy::Fused);
@@ -586,29 +586,38 @@ TEST_F(ServiceTest, OverclaimingPauliHeaderGetsBadRequest) {
 
 TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {
   config_.max_active_solves = 1;
+  // The blocker (2000 strings) holds the one solver slot on its first
+  // progress event until released, so the second request is queued behind
+  // it regardless of how fast the engine is.
+  std::mutex hook_mu;
+  std::condition_variable hook_cv;
+  bool blocker_held = false;
+  bool release = false;
+  config_.base_params.progress = [&](const pcore::ProgressEvent& event) {
+    if (event.iteration != 0 || event.n_active != 2000) return;
+    std::unique_lock<std::mutex> lock(hook_mu);
+    if (blocker_held) return;
+    blocker_held = true;
+    hook_cv.notify_all();
+    hook_cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
+  };
   start_server();
 
   const pp::PauliSet blocker_set = random_set(2000, 24, 10);
-  psvc::RemoteParams blocker_params;
-  blocker_params.max_iterations = 5000;
-  blocker_params.palette_percent = 0.5;
-  blocker_params.alpha = 1.05;
-  // The materializing engine keeps the slot busy long enough at this size
-  // (the fused engine can finish before the second request is queued).
-  blocker_params.strategy =
-      static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
-
   auto blocker_client = psvc::Client::connect(server_.address());
   std::thread blocker([&] {
     // Outcome unchecked: shutdown may cancel it or let it finish.
     try {
-      blocker_client.solve(blocker_set, blocker_params, "a");
+      blocker_client.solve(blocker_set, psvc::RemoteParams{}, "a");
     } catch (const psvc::WireError&) {
       // Connection torn down during stop — acceptable during shutdown.
     }
   });
-  ASSERT_TRUE(wait_for_stats(
-      [](const psvc::StatsMsg& s) { return s.active == 1; }));
+  {
+    std::unique_lock<std::mutex> lock(hook_mu);
+    ASSERT_TRUE(hook_cv.wait_for(lock, std::chrono::seconds(30),
+                                 [&] { return blocker_held; }));
+  }
 
   std::atomic<bool> queued_rejected{false};
   std::thread queued([&] {
@@ -626,6 +635,14 @@ TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {
   ASSERT_TRUE(wait_for_stats(
       [](const psvc::StatsMsg& s) { return s.queued >= 1; }));
 
+  // Stop first (cancelling the held solve), then let the hook return so the
+  // solver thread can observe the cancellation and stop() can join it.
+  server_.request_stop();
+  {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    release = true;
+  }
+  hook_cv.notify_all();
   server_.stop();
   blocker.join();
   queued.join();
