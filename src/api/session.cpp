@@ -1,5 +1,7 @@
 #include "api/session.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -21,6 +23,63 @@ bool oracle_capable(ProblemKind kind) {
     default:
       return false;
   }
+}
+
+// The five xxHash64 primes: odd 64-bit constants with well-spread bits.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+
+constexpr std::uint64_t lane_round(std::uint64_t acc,
+                                   std::uint64_t word) noexcept {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+constexpr std::uint64_t merge_lane(std::uint64_t h,
+                                   std::uint64_t lane) noexcept {
+  return (h ^ lane_round(0, lane)) * kPrime1 + kPrime4;
+}
+
+/// xxHash64-shaped digest of `count` words, seeded with `seed`: four
+/// independent multiply-rotate lanes take one word each per stripe, the
+/// lanes are merged, the 0-3 tail words fold in one by one, and a final
+/// avalanche mixes every input bit into every output bit. Words are folded
+/// as values, not as a byte stream, so the digest is the same on any host.
+std::uint64_t digest_words(const std::uint64_t* data, std::size_t count,
+                           std::uint64_t seed) noexcept {
+  std::size_t i = 0;
+  std::uint64_t h = seed + kPrime5;
+  if (count >= 4) {
+    std::uint64_t v1 = seed + kPrime1 + kPrime2;
+    std::uint64_t v2 = seed + kPrime2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kPrime1;
+    for (; i + 4 <= count; i += 4) {
+      v1 = lane_round(v1, data[i]);
+      v2 = lane_round(v2, data[i + 1]);
+      v3 = lane_round(v3, data[i + 2]);
+      v4 = lane_round(v4, data[i + 3]);
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = merge_lane(h, v1);
+    h = merge_lane(h, v2);
+    h = merge_lane(h, v3);
+    h = merge_lane(h, v4);
+  }
+  h += static_cast<std::uint64_t>(count) * sizeof(std::uint64_t);
+  for (; i < count; ++i) {
+    h ^= lane_round(0, data[i]);
+    h = std::rotl(h, 27) * kPrime1 + kPrime4;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
 }
 
 bool spill_backed(ProblemKind kind) {
@@ -143,10 +202,9 @@ std::uint64_t problem_fingerprint(const pauli::PackedView& view,
   // bytes shared by PauliSet::packed_view() and PackedPauliSet::view().
   h = util::fnv1a_u64(h, static_cast<std::uint64_t>(num_qubits));
   h = util::fnv1a_u64(h, static_cast<std::uint64_t>(view.size));
-  const std::size_t total_words = view.size * view.record_words();
-  for (std::size_t i = 0; i < total_words; ++i) {
-    h = util::fnv1a_u64(h, view.data[i]);
-  }
+  // The record words go through the word-wise digest, seeded with the
+  // geometry fold.
+  h = digest_words(view.data, view.size * view.record_words(), h);
   // Only the params that can change the coloring (see the header contract).
   h = util::fnv1a_f64(h, params.palette_percent);
   h = util::fnv1a_f64(h, params.alpha);

@@ -150,14 +150,19 @@ class UpdateDelta {
   std::vector<core::GraphVertexDelta> vertices_;
 };
 
-/// Canonical FNV-1a fingerprint of an encoded Pauli problem under a
-/// parameter set: folds the packed symplectic planes (the canonical bytes —
-/// identical whether the records arrived symbolic or packed) plus exactly
-/// the params that can change the coloring: palette_percent, alpha, seed,
-/// max_iterations, conflict_scheme. Backend, kernel, thread count, strategy,
-/// telemetry and budget are deliberately EXCLUDED — the library's
-/// determinism contract pins colorings bit-identical across all of them, so
-/// one cache entry serves every execution flavor of the same problem.
+/// Canonical fingerprint of an encoded Pauli problem under a parameter set.
+/// The qubit count and string count are folded with FNV-1a; the packed
+/// symplectic planes (the canonical words — identical whether the records
+/// arrived symbolic or packed) go through an xxHash64-shaped word-wise
+/// digest (four multiply-rotate lanes, merged, then avalanched); then
+/// exactly the params that can change the coloring are folded with FNV-1a:
+/// palette_percent, alpha, seed, max_iterations, conflict_scheme. Backend,
+/// kernel, thread count, strategy, telemetry and budget are deliberately
+/// EXCLUDED — the library's determinism contract pins colorings
+/// bit-identical across all of them, so one cache entry serves every
+/// execution flavor of the same problem. Equal problems hash equal within
+/// one library version; the value is not a persisted identity and may
+/// change between versions (store colorings by coloring hash, not by this).
 std::uint64_t problem_fingerprint(const pauli::PackedView& view,
                                   std::size_t num_qubits,
                                   const core::PicassoParams& params);

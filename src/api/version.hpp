@@ -12,12 +12,16 @@
 // the BudgetedStreaming / MultiDevice strategies. 3.0 removed the
 // probabilistic sketch strategy (wire value 6), its per-solve report and
 // its two PicassoParams knobs; the fused engine keeps the memory saving.
+// 3.1 digests the record words of problem_fingerprint word-wise instead of
+// byte-wise FNV-1a: every problem_hash differs from 3.0, while colorings,
+// coloring hashes and wire bytes are unchanged. problem_hash is equal for
+// equal problems within one version; it is not a persisted identity.
 
 #define PICASSO_API_VERSION_MAJOR 3
-#define PICASSO_API_VERSION_MINOR 0
+#define PICASSO_API_VERSION_MINOR 1
 #define PICASSO_API_VERSION_PATCH 0
 
-// "MMmmpp" as a single comparable integer, e.g. 30000 for 3.0.0.
+// "MMmmpp" as a single comparable integer, e.g. 30100 for 3.1.0.
 #define PICASSO_API_VERSION_CODE                               \
   (PICASSO_API_VERSION_MAJOR * 10000 + PICASSO_API_VERSION_MINOR * 100 + \
    PICASSO_API_VERSION_PATCH)

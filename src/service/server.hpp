@@ -21,10 +21,13 @@
 //     then the tenant with the fewest dispatched solves (round-robin across
 //     tenants under equal priority), then FIFO.
 //   * Result cache: an LRU keyed by the canonical problem fingerprint
-//     (api::problem_fingerprint — packed symplectic planes + solve-relevant
-//     params). A repeated molecule is answered immediately with the cached
-//     coloring, bit-identical to a fresh solve by the library's determinism
-//     contract (the service tests pin it).
+//     (api::problem_fingerprint — a word-wise digest of the packed
+//     symplectic planes + the solve-relevant params; stable within one
+//     library version, so the cache lives and dies with the process). A
+//     repeated molecule is answered immediately with the cached coloring,
+//     bit-identical to a fresh solve by the library's determinism contract
+//     (the service tests pin it). Entries are shared, immutable: a hit
+//     copies no colors, and its reply is encoded straight from the entry.
 //   * Cancellation: a Cancel frame removes a queued request (freeing its
 //     slot) or trips the running solve's StopSource; either way the client
 //     gets Error(Cancelled) and a cancelled budgeted solve removes its
@@ -115,8 +118,9 @@ class Server {
   /// The bound address (with the kernel-assigned port for tcp port 0).
   const std::string& address() const noexcept { return address_; }
 
-  /// Signal-only shutdown: closes the listener, wakes every blocked thread,
-  /// stops active solves and answers queued requests with ShuttingDown.
+  /// Signal-only shutdown: answers queued requests with ShuttingDown, then
+  /// closes the listener and every connection, wakes every blocked thread
+  /// and stops active solves.
   /// Safe from any thread — never joins (a reader thread handling a
   /// Shutdown frame calls this on itself).
   void request_stop() noexcept;
@@ -200,8 +204,10 @@ class Server {
 
   api::Session session_for(const RemoteParams& params) const;
 
-  bool cache_lookup(std::uint64_t problem_hash, CacheEntry& out);
-  void cache_insert(CacheEntry entry);
+  /// The cached entry for `problem_hash` (null on a miss), shared rather
+  /// than copied: the hit reply encodes straight from it.
+  std::shared_ptr<const CacheEntry> cache_lookup(std::uint64_t problem_hash);
+  void cache_insert(std::shared_ptr<const CacheEntry> entry);
 
   void send_error(const std::shared_ptr<ClientConn>& conn, std::uint64_t id,
                   ServiceErrorCode code, const std::string& message);
@@ -242,9 +248,9 @@ class Server {
   std::map<std::string, std::uint64_t> tenant_dispatched_;
 
   mutable std::mutex cache_mu_;
-  std::list<CacheEntry> cache_lru_;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator>
-      cache_index_;
+  using CacheList = std::list<std::shared_ptr<const CacheEntry>>;
+  CacheList cache_lru_;  // front = most recent
+  std::unordered_map<std::uint64_t, CacheList::iterator> cache_index_;
 
   // Stats counters (relaxed atomics; snapshot() assembles a StatsMsg).
   std::atomic<std::uint64_t> stat_received_{0};

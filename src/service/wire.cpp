@@ -8,6 +8,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -80,11 +81,16 @@ std::span<const std::uint8_t> WireReader::blob() {
 // Messages.
 
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg) {
+  return encode_solve_request(msg, msg.records);
+}
+
+std::vector<std::uint8_t> encode_solve_request(
+    const SolveRequestMsg& msg, const pauli::PauliSet& records) {
   WireWriter w;
   // Fixed fields, the tenant string and the length-prefixed records blob.
   constexpr std::size_t kFixedBytes =
       4 + 8 + 4 + 8 + 8 + 8 + 4 + 1 + 1 + 8 + 1 + 8;
-  const std::size_t blob_size = msg.records.binary_size();
+  const std::size_t blob_size = records.binary_size();
   w.reserve(kFixedBytes + 4 + msg.tenant.size() + 4 + blob_size);
   w.u32(kProtocolVersion);
   w.u64(msg.id);
@@ -99,7 +105,7 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg) {
   w.u64(msg.params.memory_budget_bytes);
   w.u8(msg.params.want_progress ? 1 : 0);
   w.u64(msg.params.deadline_ms);
-  msg.records.save_binary(w.blob(blob_size));
+  records.save_binary(w.blob(blob_size));
   return w.take();
 }
 
@@ -173,11 +179,16 @@ ProgressMsg decode_progress(const std::vector<std::uint8_t>& payload) {
 }
 
 std::vector<std::uint8_t> encode_result(const ResultMsg& msg) {
+  return encode_result(msg, msg.colors);
+}
+
+std::vector<std::uint8_t> encode_result(
+    const ResultMsg& msg, std::span<const std::uint32_t> colors) {
   WireWriter w;
   // Fixed fields, the reason string and the length-prefixed colors.
   constexpr std::size_t kFixedBytes = 8 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 1;
   w.reserve(kFixedBytes + 4 + msg.degraded_reason.size() + 4 +
-            4 * msg.colors.size());
+            4 * colors.size());
   w.u64(msg.id);
   w.u8(msg.cache_hit ? 1 : 0);
   w.u64(msg.problem_hash);
@@ -188,9 +199,9 @@ std::vector<std::uint8_t> encode_result(const ResultMsg& msg) {
   w.f64(msg.seconds);
   w.u8(msg.degraded ? 1 : 0);
   w.str(msg.degraded_reason);
-  w.u32(static_cast<std::uint32_t>(msg.colors.size()));
-  std::uint8_t* out = w.extend(4 * msg.colors.size());
-  for (std::uint32_t c : msg.colors) {
+  w.u32(static_cast<std::uint32_t>(colors.size()));
+  std::uint8_t* out = w.extend(4 * colors.size());
+  for (std::uint32_t c : colors) {
     store_le(out, c);
     out += 4;
   }
@@ -327,22 +338,44 @@ ParsedAddress parse_address(const std::string& address) {
   throw WireError("address must start with unix: or tcp:, got " + address);
 }
 
-void write_all(int fd, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
+/// Sends `header` followed by `payload`, one sendmsg per transfer; a short
+/// write resumes at the first unsent byte, in either buffer.
+void send_frame(int fd, std::span<const std::uint8_t> header,
+                std::span<const std::uint8_t> payload) {
+  const std::size_t total = header.size() + payload.size();
+  std::size_t done = 0;
+  while (done < total) {
     // Failpoint "wire.send": error injects a reset-like failure, delay
     // simulates a slow peer, short:N splits the transfer (exercising this
     // loop exactly like a kernel short write would).
-    std::size_t attempt = len;
+    std::size_t attempt = total - done;
     try {
-      // max(1, ...): a zero-length clamp would make send() a no-op loop.
+      // max(1, ...): a zero-length clamp would make sendmsg() a no-op loop.
       attempt = std::max<std::size_t>(
-          1, PICASSO_FAILPOINT_CLAMP("wire.send", len));
+          1, PICASSO_FAILPOINT_CLAMP("wire.send", total - done));
     } catch (const util::InjectedFault& fault) {
       throw WireError(fault.what());
     }
+    // Bytes [done, done + attempt) of header ++ payload.
+    iovec parts[2];
+    std::size_t used = 0;
+    std::size_t from = done;
+    if (from < header.size()) {
+      const std::size_t take = std::min(attempt, header.size() - from);
+      parts[used++] = {const_cast<std::uint8_t*>(header.data() + from), take};
+      from += take;
+      attempt -= take;
+    }
+    if (attempt > 0) {
+      parts[used++] = {
+          const_cast<std::uint8_t*>(payload.data() + (from - header.size())),
+          attempt};
+    }
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = used;
     // MSG_NOSIGNAL: a peer that hung up yields EPIPE, not a process kill.
-    const ssize_t n = ::send(fd, p, attempt, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -353,10 +386,9 @@ void write_all(int fd, const void* data, std::size_t len) {
         throw WireDisconnect(std::string("peer gone: ") +
                              std::strerror(errno));
       }
-      throw_errno("send");
+      throw_errno("sendmsg");
     }
-    p += n;
-    len -= static_cast<std::size_t>(n);
+    done += static_cast<std::size_t>(n);
   }
 }
 
@@ -489,17 +521,13 @@ bool Connection::read_frame(Frame& frame) {
                         std::to_string(idle_timeout_ms_) + "ms");
     }
   }
+  // Length prefix and type in one read: EOF before its first byte is a
+  // clean close, EOF inside it a torn frame (read_exact throws).
   std::uint8_t header[5];
-  if (!read_exact(fd_, header, 4)) return false;  // clean EOF
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  }
+  if (!read_exact(fd_, header, sizeof(header))) return false;
+  const std::uint32_t len = load_le<std::uint32_t>(header);
   if (len > kMaxFrameBytes) {
     throw WireError("frame of " + std::to_string(len) + " bytes exceeds cap");
-  }
-  if (!read_exact(fd_, header + 4, 1)) {
-    throw WireError("connection closed mid-frame");
   }
   frame.type = static_cast<FrameType>(header[4]);
   frame.payload.resize(len);
@@ -515,13 +543,9 @@ void Connection::write_frame(FrameType type,
     throw WireError("frame payload exceeds cap");
   }
   std::uint8_t header[5];
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<std::uint8_t>((len >> (8 * i)) & 0xffu);
-  }
+  store_le(header, static_cast<std::uint32_t>(payload.size()));
   header[4] = static_cast<std::uint8_t>(type);
-  write_all(fd_, header, 5);
-  if (!payload.empty()) write_all(fd_, payload.data(), payload.size());
+  send_frame(fd_, header, payload);
 }
 
 void Connection::shutdown() noexcept {

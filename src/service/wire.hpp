@@ -277,6 +277,11 @@ struct StatsMsg {
 };
 
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg);
+/// The same bytes with `records` as the Pauli payload in place of
+/// msg.records (which is not read): a client sends the caller's records
+/// without copying them into a message.
+std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg,
+                                               const pauli::PauliSet& records);
 SolveRequestMsg decode_solve_request(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_cancel(std::uint64_t id);
@@ -286,6 +291,10 @@ std::vector<std::uint8_t> encode_progress(const ProgressMsg& msg);
 ProgressMsg decode_progress(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_result(const ResultMsg& msg);
+/// The same bytes with `colors` in place of msg.colors (which is not read):
+/// the server replies straight from a cached coloring.
+std::vector<std::uint8_t> encode_result(const ResultMsg& msg,
+                                        std::span<const std::uint32_t> colors);
 ResultMsg decode_result(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_error(const ErrorMsg& msg);
@@ -300,9 +309,11 @@ StatsMsg decode_stats(const std::vector<std::uint8_t>& payload);
 // actual one — how tests avoid port races).
 
 /// Owning fd wrapper for one connected stream socket. Reads and writes are
-/// whole-frame and retry EINTR/short transfers. Thread contract: one reader
-/// thread; concurrent writers must serialize externally (Client and the
-/// server's per-connection write mutex both do).
+/// whole-frame and retry EINTR/short transfers: a frame goes out as one
+/// sendmsg of header and payload, and its 5-byte header comes in with one
+/// read. Thread contract: one reader thread; concurrent writers must
+/// serialize externally (Client and the server's per-connection write
+/// mutex both do).
 class Connection {
  public:
   Connection() = default;

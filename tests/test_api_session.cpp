@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
@@ -579,6 +581,111 @@ TEST(ParseBackend, RejectsUnknownNamesWithTheValidList) {
     EXPECT_NE(message.find("avx512"), std::string::npos);
     EXPECT_NE(message.find("packed-scalar"), std::string::npos);
   }
+}
+
+// --- Problem fingerprint ----------------------------------------------------
+
+namespace {
+
+/// problem_fingerprint of `words` read as a packed set of `size` records.
+std::uint64_t view_hash(const std::vector<std::uint64_t>& words,
+                        std::size_t size, std::size_t num_qubits,
+                        const pcore::PicassoParams& params = {}) {
+  const pp::PackedView view{words.data(), size, pp::packed_words(num_qubits)};
+  return papi::problem_fingerprint(view, num_qubits, params);
+}
+
+}  // namespace
+
+TEST(ProblemFingerprint, SymbolicAndPackedSetsShareAKey) {
+  for (std::size_t qubits : {1u, 12u, 64u, 65u, 130u}) {
+    const pp::PauliSet set = random_set(23, qubits, qubits);
+    const pp::PackedPauliSet packed(set);
+    const pcore::PicassoParams params;
+    EXPECT_EQ(papi::problem_fingerprint(packed.view(), packed.num_qubits(),
+                                        params),
+              papi::problem_fingerprint(set, params))
+        << "qubits=" << qubits;
+  }
+}
+
+TEST(ProblemFingerprint, EverySingleBitFlipChangesTheHash) {
+  // Word counts 2 (below one 4-word stripe), 14 (three stripes and a
+  // 2-word tail) and 18 (three-word planes: four stripes and a 2-word
+  // tail), so the lanes, the tail and the short path are all covered.
+  for (const auto& [count, qubits] :
+       {std::pair<std::size_t, std::size_t>{1, 9}, {7, 12}, {3, 150}}) {
+    const pp::PauliSet set = random_set(count, qubits, 31 + count);
+    const pp::PackedView view = set.packed_view();
+    std::vector<std::uint64_t> words(
+        view.data, view.data + view.size * view.record_words());
+    const std::uint64_t base = view_hash(words, count, qubits);
+    ASSERT_EQ(base, papi::problem_fingerprint(set, pcore::PicassoParams{}));
+    std::set<std::uint64_t> seen{base};
+    for (std::size_t k = 0; k < words.size(); ++k) {
+      for (int bit = 0; bit < 64; ++bit) {
+        words[k] ^= std::uint64_t{1} << bit;
+        EXPECT_TRUE(seen.insert(view_hash(words, count, qubits)).second)
+            << "count=" << count << " word " << k << " bit " << bit;
+        words[k] ^= std::uint64_t{1} << bit;
+      }
+    }
+    EXPECT_EQ(seen.size(), 1 + 64 * words.size());
+  }
+}
+
+TEST(ProblemFingerprint, SwappingTwoRecordsChangesTheHash) {
+  // 11 records of 2 words: records 2 apart start in the same lane and
+  // records 4 apart sit in the same lanes of consecutive stripes.
+  const pp::PauliSet set = random_set(11, 10, 41);
+  std::vector<pp::PauliString> strings;
+  for (std::size_t i = 0; i < set.size(); ++i) strings.push_back(set.string(i));
+  const std::uint64_t base = papi::problem_fingerprint(set, {});
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    for (std::size_t j = i + 1; j < strings.size(); ++j) {
+      ASSERT_NE(strings[i], strings[j]);
+      std::vector<pp::PauliString> swapped = strings;
+      std::swap(swapped[i], swapped[j]);
+      EXPECT_NE(papi::problem_fingerprint(pp::PauliSet(swapped), {}), base)
+          << "records " << i << " and " << j;
+    }
+  }
+}
+
+TEST(ProblemFingerprint, ColoringParamsEnterAndExecutionKnobsDoNot) {
+  const pp::PauliSet set = random_set(40, 12, 43);
+  const pcore::PicassoParams defaults;
+  const std::uint64_t base = papi::problem_fingerprint(set, defaults);
+
+  std::vector<pcore::PicassoParams> coloring(5, defaults);
+  coloring[0].palette_percent = 3.0;
+  coloring[1].alpha = 30.0;
+  coloring[2].seed = 2;
+  coloring[3].max_iterations = 63;
+  coloring[4].conflict_scheme = pcore::ConflictColoringScheme::StaticNatural;
+  for (std::size_t k = 0; k < coloring.size(); ++k) {
+    EXPECT_NE(papi::problem_fingerprint(set, coloring[k]), base)
+        << "coloring param " << k << " left the hash unchanged";
+  }
+
+  pcore::PicassoParams execution = defaults;
+  execution.pauli_backend = pcore::PauliBackend::PackedScalar;
+  execution.kernel = pcore::ConflictKernel::Reference;
+  execution.memory_budget_bytes = 1u << 20;
+  execution.runtime.num_threads = 3;
+  EXPECT_EQ(papi::problem_fingerprint(set, execution), base);
+
+  // Strategy is a session setting, outside the params: the reports of two
+  // strategies carry the same key.
+  const papi::SolveReport fused =
+      papi::SessionBuilder()
+          .strategy(papi::ExecutionStrategy::Fused)
+          .build()
+          .solve(papi::Problem::pauli(set));
+  const papi::SolveReport materialized =
+      in_memory().solve(papi::Problem::pauli(set));
+  EXPECT_EQ(fused.problem_hash, base);
+  EXPECT_EQ(materialized.problem_hash, base);
 }
 
 TEST(ApiVersion, MacrosAndHelpersAgree) {

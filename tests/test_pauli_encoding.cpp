@@ -203,11 +203,12 @@ std::vector<std::uint64_t> words_of(const pp::PauliSet& set) {
 TEST(PauliSet, BinarySaveLoadRoundTrip) {
   picasso::util::Xoshiro256 rng(77);
   // Word boundaries of both encodings: 21 codes per 3-bit word, 64
-  // operators per symplectic plane word.
+  // operators per symplectic plane word. 37 strings: up to n = 21 the
+  // single-word decode runs nine 4-string vector steps and a remainder.
   for (std::size_t n : {1u, 20u, 21u, 22u, 63u, 64u, 65u, 130u}) {
     std::vector<pp::PauliString> strings;
     std::vector<double> coefs;
-    for (int i = 0; i < 33; ++i) {
+    for (int i = 0; i < 37; ++i) {
       strings.push_back(random_string(n, rng));
       coefs.push_back(rng.uniform() - 0.5);
     }
@@ -232,22 +233,30 @@ TEST(PauliSet, BinarySaveLoadRoundTrip) {
 
 TEST(PauliSet, FromWords3RejectsEveryInvalidCode) {
   picasso::util::Xoshiro256 rng(3);
-  for (std::size_t n : {1u, 21u, 22u, 65u}) {
-    const pp::PauliSet clean({random_string(n, rng), random_string(n, rng)});
-    for (std::size_t q : {std::size_t{0}, n / 2, n - 1}) {
-      for (std::uint64_t code : {0b001u, 0b010u, 0b100u, 0b111u}) {
-        std::vector<std::uint64_t> words = words_of(clean);
-        // Corrupt qubit q of the second string.
-        std::uint64_t& word =
-            words[clean.words_per_string() + q / pp::kOpsPerWord3];
-        const std::size_t shift = (q % pp::kOpsPerWord3) * 3;
-        word = (word & ~(std::uint64_t{0b111} << shift)) | (code << shift);
-        EXPECT_THROW(pp::PauliSet::from_words3(n, words, {1.0, 1.0}),
-                     std::invalid_argument)
-            << "n=" << n << " q=" << q << " code=" << code;
-        EXPECT_THROW(pp::decode3(words.data() + clean.words_per_string(), n),
-                     std::invalid_argument)
-            << "the reference decoder disagrees, n=" << n << " q=" << q;
+  for (std::size_t n : {1u, 12u, 21u, 22u, 65u}) {
+    // 11 strings: corrupting each in turn puts the bad code in every lane
+    // of the single-word decode's 4-string steps and in its remainder.
+    std::vector<pp::PauliString> strings;
+    for (int i = 0; i < 11; ++i) strings.push_back(random_string(n, rng));
+    const pp::PauliSet clean(strings);
+    const std::size_t w3 = clean.words_per_string();
+    const std::vector<double> coefs(clean.size(), 1.0);
+    for (std::size_t k = 0; k < clean.size(); ++k) {
+      for (std::size_t q : {std::size_t{0}, n / 2, n - 1}) {
+        for (std::uint64_t code : {0b001u, 0b010u, 0b100u, 0b111u}) {
+          std::vector<std::uint64_t> words = words_of(clean);
+          // Corrupt qubit q of string k.
+          std::uint64_t& word = words[k * w3 + q / pp::kOpsPerWord3];
+          const std::size_t shift = (q % pp::kOpsPerWord3) * 3;
+          word = (word & ~(std::uint64_t{0b111} << shift)) | (code << shift);
+          EXPECT_THROW(pp::PauliSet::from_words3(n, words, coefs),
+                       std::invalid_argument)
+              << "n=" << n << " k=" << k << " q=" << q << " code=" << code;
+          EXPECT_THROW(pp::decode3(words.data() + k * w3, n),
+                       std::invalid_argument)
+              << "the reference decoder disagrees, n=" << n << " k=" << k
+              << " q=" << q;
+        }
       }
     }
   }

@@ -98,6 +98,13 @@ TEST(ServiceWire, SolveRequestRoundTrip) {
   const picasso::core::PicassoParams fp_params;
   EXPECT_EQ(papi::problem_fingerprint(decoded.records, fp_params),
             papi::problem_fingerprint(msg.records, fp_params));
+
+  // The client's path: records passed apart from the message encode to
+  // the same bytes.
+  psvc::SolveRequestMsg bare = msg;
+  bare.records = pp::PauliSet();
+  EXPECT_EQ(psvc::encode_solve_request(bare, msg.records),
+            psvc::encode_solve_request(msg));
 }
 
 TEST(ServiceWire, ResultAndErrorRoundTrip) {
@@ -125,6 +132,11 @@ TEST(ServiceWire, ResultAndErrorRoundTrip) {
   EXPECT_EQ(r.degraded, result.degraded);
   EXPECT_EQ(r.degraded_reason, result.degraded_reason);
   EXPECT_EQ(r.colors, result.colors);
+  // The server's hit path: colors passed apart from the message.
+  psvc::ResultMsg bare = result;
+  bare.colors.clear();
+  EXPECT_EQ(psvc::encode_result(bare, result.colors),
+            psvc::encode_result(result));
 
   psvc::StatsMsg stats;
   stats.received = 10;
@@ -619,6 +631,8 @@ TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {
                                  [&] { return blocker_held; }));
   }
 
+  // The queued request must get the structured goodbye, not a torn
+  // connection: it is answered before its socket is shut.
   std::atomic<bool> queued_rejected{false};
   std::thread queued([&] {
     auto client = psvc::Client::connect(server_.address());
@@ -628,8 +642,9 @@ TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {
       queued_rejected = !outcome.ok &&
                         outcome.error_code ==
                             psvc::ServiceErrorCode::ShuttingDown;
-    } catch (const psvc::WireError&) {
-      queued_rejected = true;  // torn connection also counts as rejected
+    } catch (const psvc::WireError& error) {
+      ADD_FAILURE() << "queued request saw a torn connection: "
+                    << error.what();
     }
   });
   ASSERT_TRUE(wait_for_stats(

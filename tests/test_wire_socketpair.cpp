@@ -1,6 +1,8 @@
 // Wire-framing robustness on a socketpair: frames delivered byte-at-a-time
 // must reassemble, EINTR during a blocking read must be retried, injected
-// short writes must still deliver whole frames, and the idle/io timeouts
+// short writes must still deliver whole frames (a frame leaves as one
+// sendmsg of header and payload, resumed wherever a clamp cut it), a peer
+// that hangs up inside a header is a torn frame, and the idle/io timeouts
 // must throw WireTimeout instead of hanging the reader.
 
 #include <gtest/gtest.h>
@@ -176,6 +178,84 @@ TEST_F(WireSocketpairTest, InjectedShortWritesStillDeliverWholeFrames) {
   pfp::disarm_all();
   EXPECT_EQ(frame.type, psvc::FrameType::Result);
   EXPECT_EQ(frame.payload, payload);
+}
+
+TEST_F(WireSocketpairTest, ByteClampedSendsStillDeliverWholeFrames) {
+  SocketPair pair;
+  ASSERT_GE(pair.b, 0);
+  psvc::Connection writer = pair.take_a();
+  psvc::Connection reader(pair.b);
+  pair.b = -1;
+
+  std::vector<std::uint8_t> payload(300);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 5 + 1);
+  }
+
+  // One byte per sendmsg: every resume point inside the header, at the
+  // header/payload seam and inside the payload is taken once.
+  pfp::arm("wire.send", {pfp::Mode::ShortIo, 1, -1});
+  std::thread writing([&] {
+    writer.write_frame(psvc::FrameType::Result, payload);
+    writer.write_frame(psvc::FrameType::Stats, {});
+  });
+
+  psvc::Frame frame;
+  ASSERT_TRUE(reader.read_frame(frame));
+  EXPECT_EQ(frame.type, psvc::FrameType::Result);
+  EXPECT_EQ(frame.payload, payload);
+  ASSERT_TRUE(reader.read_frame(frame));
+  EXPECT_EQ(frame.type, psvc::FrameType::Stats);
+  EXPECT_TRUE(frame.payload.empty());
+  writing.join();
+}
+
+TEST_F(WireSocketpairTest, InjectedSendFaultAndDelayKeepFramesWhole) {
+  SocketPair pair;
+  ASSERT_GE(pair.b, 0);
+  psvc::Connection writer = pair.take_a();
+  psvc::Connection reader(pair.b);
+  pair.b = -1;
+  const std::vector<std::uint8_t> first = {1, 2, 3};
+  const std::vector<std::uint8_t> second = {4, 5};
+
+  // An injected fault fails the frame before a byte of it is sent ...
+  pfp::arm("wire.send", {pfp::Mode::Error, 0, 1});
+  EXPECT_THROW(writer.write_frame(psvc::FrameType::Progress, first),
+               psvc::WireError);
+  // ... and a delay only holds the frame back.
+  pfp::arm("wire.send", {pfp::Mode::Delay, 30, 1});
+  const auto start = std::chrono::steady_clock::now();
+  writer.write_frame(psvc::FrameType::Progress, second);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(30));
+
+  psvc::Frame frame;
+  ASSERT_TRUE(reader.read_frame(frame));
+  EXPECT_EQ(frame.payload, second);
+}
+
+TEST_F(WireSocketpairTest, CloseInsideTheHeaderIsATornFrame) {
+  const auto bytes = raw_frame(psvc::FrameType::Progress, {9, 8, 7});
+  // 0 bytes: a clean close at a frame boundary. 1-4: the peer hung up
+  // inside the 5-byte header; 5: after the header, before the payload.
+  for (std::size_t cut = 0; cut <= 5; ++cut) {
+    SocketPair pair;
+    ASSERT_GE(pair.b, 0);
+    psvc::Connection reader = pair.take_a();
+    if (cut > 0) {
+      ASSERT_EQ(::send(pair.b, bytes.data(), cut, 0),
+                static_cast<ssize_t>(cut));
+    }
+    ::shutdown(pair.b, SHUT_WR);
+    psvc::Frame frame;
+    if (cut == 0) {
+      EXPECT_FALSE(reader.read_frame(frame)) << "expected clean EOF";
+    } else {
+      EXPECT_THROW(reader.read_frame(frame), psvc::WireError)
+          << "cut after " << cut << " bytes";
+    }
+  }
 }
 
 TEST_F(WireSocketpairTest, InjectedRecvFaultSurfacesAsWireError) {
